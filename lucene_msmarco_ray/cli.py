@@ -73,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--k1", type=float, default=0.7)
     s.add_argument("--b", type=float, default=0.3)
     s.add_argument("--mu", type=float, default=1000.0)
-    s.add_argument("--algo", default="auto", choices=["auto", "taat", "wand"])
     s.add_argument("--concurrency", type=int, default=0,
                    help="searcher actors; 0 = half the cluster CPUs")
     s.add_argument("--run-name", default="ray-bm25")
@@ -171,8 +170,7 @@ def main(argv: list[str] | None = None) -> int:
             1, int(ray.cluster_resources().get("CPU", 2)) // 2)
         run = retrieve(rd.from_pandas(qdf), args.index, scorer=args.scorer,
                        k=args.k, k1=args.k1, b=args.b, mu=args.mu,
-                       algo=args.algo, concurrency=conc,
-                       preload=True)
+                       concurrency=conc, preload=True)
         write_run(run, args.out, run_name=args.run_name)
         print(json.dumps({"queries": len(qdf), "out": args.out}))
         ray.shutdown()

@@ -40,6 +40,9 @@ def coarse_group_agg(ds, keys, aggs, num_parts: int | None = None):
     of ``"sum" | "min" | "max" | "size"`` (size counts group rows;
     ``in_col`` is ignored for it but must exist). Output columns:
     ``keys + [out for out, _, _ in aggs]``, row order arbitrary.
+
+    Keys: a null key is a group of its own (as in ``groupby().aggregate``);
+    a dictionary-encoded key yields rows only for the values present.
     """
     import pandas as pd
 
@@ -56,7 +59,8 @@ def coarse_group_agg(ds, keys, aggs, num_parts: int | None = None):
         return batch.append_column("__part", pa.array(part))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(keys, sort=False).agg(**named).reset_index()
+        out = (g.groupby(keys, sort=False, dropna=False, observed=True)
+               .agg(**named).reset_index())
         return out[out_cols]
 
     return (ds.map_batches(tag, batch_format="pyarrow")

@@ -827,6 +827,37 @@ def heavy_hitters(ds, text_col: str = "text", k: int = 50,
 _SEP = "\x1f"    # unit separator — never appears in whitespace tokens
 
 
+class _PairMicro:
+    """(pair, c) batches → (key, micro) against the broadcast unigram
+    counts ``uref`` = ref of (terms, counts); per-actor hash index, built
+    once."""
+
+    def __init__(self, uref, lam: float, total: float):
+        import pandas as pd
+        import ray
+        terms, cnt = ray.get(uref)
+        self.index = pd.Index(terms)
+        self.cnt = cnt
+        self.lam = lam
+        self.total = total
+
+    def _counts(self, words) -> np.ndarray:
+        # a word missing from the table (a different corpus) counts 1, as
+        # in the two-level path
+        pos = self.index.get_indexer(words)
+        return np.where(pos >= 0, self.cnt[np.clip(pos, 0, None)], 1.0)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        prs = batch["pair"].to_pandas()
+        c12 = batch["c"].to_numpy(zero_copy_only=False).astype(np.float64)
+        w1 = prs.str.split(_SEP).str[0]
+        w2 = prs.str.split(_SEP).str[1]
+        c1, c2 = self._counts(w1), self._counts(w2)
+        p = self.lam * c12 / c1 + (1.0 - self.lam) * c2 / self.total
+        micro = np.floor(np.log(p) * 1e6 + 0.5).astype(np.int64)
+        return pa.table({"key": batch["pair"], "micro": pa.array(micro)})
+
+
 def bigram_lm_perplexity(ds, text_col: str = "text",
                          id_col: str = "doc_id", lam: float = 0.9,
                          concurrency: int = 4,
@@ -855,7 +886,6 @@ def bigram_lm_perplexity(ds, text_col: str = "text",
     paths."""
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
 
     def pair_partials(batch: pa.Table) -> pa.Table:
         flat, counts = _flat_tokens(batch[text_col])
@@ -960,31 +990,10 @@ def bigram_lm_perplexity(ds, text_col: str = "text",
         oov = int(np.floor(np.log((1.0 - lam) * 0.5 / total) * 1e6 + 0.5))
         uref = ray.put((uni["term"].to_numpy(dtype=object),
                         uni["c"].to_numpy(np.float64)))
-
-        class _PairMicro:
-            """(pair, c12) batches → (key, micro) against the broadcast
-            unigram counts; per-actor hash index, built once."""
-
-            def __init__(self):
-                terms, cnt = ray.get(uref)
-                self.index = pd.Index(terms)
-                self.cnt = cnt
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                prs = batch["pair"].to_pandas()
-                c12 = batch["c"].to_numpy(zero_copy_only=False) \
-                    .astype(np.float64)
-                w1 = prs.str.split(_SEP).str[0]
-                w2 = prs.str.split(_SEP).str[1]
-                c1 = self.cnt[self.index.get_indexer(w1)]
-                c2 = self.cnt[self.index.get_indexer(w2)]
-                p = lam * c12 / c1 + (1.0 - lam) * c2 / total
-                micro = np.floor(np.log(p) * 1e6 + 0.5).astype(np.int64)
-                return pa.table({"key": batch["pair"],
-                                 "micro": pa.array(micro)})
-
-        pair_micro = bi_ds.map_batches(_PairMicro, batch_format="pyarrow",
-                                       concurrency=concurrency)
+        pair_micro = bi_ds.map_batches(
+            _PairMicro, fn_constructor_kwargs=dict(
+                uref=uref, lam=lam, total=total),
+            batch_format="pyarrow", concurrency=concurrency)
         units = ds.map_batches(_explode_pairs(id_col, text_col),
                                batch_format="pyarrow")
         sums = bucketed_micro_sum(units, pair_micro, oov)

@@ -301,7 +301,8 @@ _DENSE_ACC_LIMIT = 50_000_000   # dense accumulator cap: ~400 MB float64
 def score_query_taat(reader: IndexReader, qterms: dict[str, float], k: int,
                      scorer) -> tuple[np.ndarray, np.ndarray]:
     """Term-at-a-time exhaustive scoring (vectorized numpy accumulation).
-    Always-correct path and the oracle for block-max WAND. Dense doc-id
+    The one path :class:`SearchStage` scores with, and the oracle for
+    block-max WAND (``search/wand.py``). Dense doc-id
     accumulator (ids are dense, SURVEY.md I1) when the id space fits;
     sort-based merge beyond that."""
     N, avgdl, total_len = reader.num_docs, reader.avgdl, reader.total_len
@@ -368,8 +369,7 @@ class SearchStage:
     """
 
     def __init__(self, index_dir: str, scorer: str = "bm25", k: int = 1000,
-                 preload: bool = False, algo: str = "auto",
-                 preload_ref=None, **scorer_kw):
+                 preload: bool = False, preload_ref=None, **scorer_kw):
         self.reader = IndexReader(index_dir, preload=preload,
                                   preload_ref=preload_ref)
         st = self.reader.stats
@@ -378,25 +378,6 @@ class SearchStage:
             st.get("normalize_numbers", True) if st["analyzer"] == "english" else False)
         self.scorer = make_scorer(scorer, **scorer_kw)
         self.k = k
-        self.algo = algo
-
-    # auto-selector threshold: below this many total matched postings the
-    # heap-based WAND loop is cheap and block skipping can win on selective
-    # queries; above it, vectorized TAAT dominates (measured on the 200k
-    # synthetic corpus: TAAT 1-3 ms/q vs WAND ~500 ms/q at every k — the
-    # per-doc Python pivot loop cannot compete with numpy accumulation when
-    # query terms match a large fraction of the corpus)
-    WAND_AUTO_MAX_POSTINGS = 20_000
-
-    def _score(self, qterms: dict[str, float]):
-        algo = self.algo
-        if algo == "auto" and type(self.scorer).__name__ == "BM25Scorer":
-            total = sum(self.reader.df(t) for t in qterms)
-            algo = "wand" if total <= self.WAND_AUTO_MAX_POSTINGS else "taat"
-        if algo == "wand" and type(self.scorer).__name__ == "BM25Scorer":
-            from .wand import score_query_wand
-            return score_query_wand(self.reader, qterms, self.k, self.scorer)
-        return score_query_taat(self.reader, qterms, self.k, self.scorer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         qids = batch["qid"].to_pylist()
@@ -412,7 +393,8 @@ class SearchStage:
             # (Lucene BooleanQuery of SHOULD TermQuery clauses — reference:
             # src/main/java/retrieval/MsMarcoQuery.java:74-83)
             qterms = {t: float(c) for t, c in Counter(terms).items()}
-            docs, scores = self._score(qterms)
+            docs, scores = score_query_taat(self.reader, qterms, self.k,
+                                            self.scorer)
             n = len(docs)
             out_qid.extend([str(qid)] * n)
             out_doc.append(docs)
@@ -428,8 +410,8 @@ class SearchStage:
 
 def retrieve(queries_ds, index_dir: str, *, scorer: str = "bm25", k: int = 1000,
              concurrency: int | tuple[int, int] = (1, 8), batch_size: int = 64,
-             preload: bool = False, algo: str = "auto",
-             actor_num_cpus: float | None = None, **scorer_kw):
+             preload: bool = False, actor_num_cpus: float | None = None,
+             **scorer_kw):
     """queries (qid, text) → run dataset (qid, doc_id, rank, score).
 
     ``concurrency`` sizes the searcher actor pool (callable class ⇒ actors;
@@ -439,22 +421,24 @@ def retrieve(queries_ds, index_dir: str, *, scorer: str = "bm25", k: int = 1000,
     usually arrive as ONE block (from_arrow/from_items), and one block means
     one task on one actor regardless of pool size. 8 blocks per actor keeps
     the pool load-balanced (per-query cost varies ~2x with term weight)."""
-    hi = concurrency[1] if isinstance(concurrency, tuple) else concurrency
-    if not isinstance(concurrency, tuple):
-        # A FIXED pool sized >= the cluster's CPUs deadlocks: Ray Data waits
-        # for all N actors before scheduling work, the actors hold every CPU,
-        # and the upstream repartition can never produce a block (observed
-        # live, not hypothetical). Clamp to leave one CPU for producers;
-        # autoscaling (min, max) pools start at min and are immune.
-        try:
-            import ray
-            total = int(ray.cluster_resources().get("CPU", 0))
-        except Exception:
-            total = 0
-        per_actor = actor_num_cpus or 1.0
-        if total and hi * per_actor >= total:
-            hi = max(1, int((total - 1) / per_actor))
-            concurrency = hi
+    lo, hi = concurrency if isinstance(concurrency, tuple) \
+        else (concurrency, concurrency)
+    # A pool that starts with every CPU deadlocks: Ray Data waits for its
+    # first actors before scheduling work, the actors hold every CPU, and
+    # the upstream repartition can never produce a block (observed live,
+    # not hypothetical). Such a pool becomes a fixed one that leaves one CPU
+    # for producers; on a one-CPU cluster that leaves nothing, so the lone
+    # actor reserves no CPU and shares the core with the producer tasks.
+    try:
+        import ray
+        total = int(ray.cluster_resources().get("CPU", 0))
+    except Exception:
+        total = 0
+    per_actor = actor_num_cpus or 1.0
+    if total and lo * per_actor >= total:
+        actor_num_cpus = min(per_actor, total - 1)
+        hi = int((total - 1) / actor_num_cpus) if actor_num_cpus else 1
+        concurrency = hi
     queries_ds = queries_ds.repartition(max(8 * hi, 8))
     preload_ref = None
     if preload and hi > 1:
@@ -468,8 +452,8 @@ def retrieve(queries_ds, index_dir: str, *, scorer: str = "bm25", k: int = 1000,
     return queries_ds.map_batches(
         SearchStage,
         fn_constructor_kwargs=dict(index_dir=index_dir, scorer=scorer, k=k,
-                                   preload=preload, algo=algo,
-                                   preload_ref=preload_ref, **scorer_kw),
+                                   preload=preload, preload_ref=preload_ref,
+                                   **scorer_kw),
         batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency,
-        **({"num_cpus": actor_num_cpus} if actor_num_cpus else {}))
+        **({} if actor_num_cpus is None else {"num_cpus": actor_num_cpus}))

@@ -33,13 +33,12 @@ from .searcher import RUN_SCHEMA, SearchStage, preload_tables
 @ray.remote
 class _SearcherActor:
     def __init__(self, index_dir: str, ref_box: list, scorer: str, k: int,
-                 algo: str, scorer_kw: dict):
+                 scorer_kw: dict):
         # ref arrives boxed in a list: Ray auto-dereferences TOP-LEVEL
         # ObjectRef arguments, but SearchStage wants the ref itself (it
         # ray.gets a zero-copy view once per actor)
         self.stage = SearchStage(index_dir, scorer=scorer, k=k,
-                                 preload_ref=ref_box[0], algo=algo,
-                                 **scorer_kw)
+                                 preload_ref=ref_box[0], **scorer_kw)
 
     def search(self, tbl: pa.Table) -> pa.Table:
         return self.stage(tbl)
@@ -58,13 +57,13 @@ class SearcherPool:
     """
 
     def __init__(self, index_dir: str, n_actors: int = 8,
-                 scorer: str = "bm25", k: int = 1000, algo: str = "auto",
-                 num_cpus: float = 1.0, **scorer_kw):
+                 scorer: str = "bm25", k: int = 1000, num_cpus: float = 1.0,
+                 **scorer_kw):
         ref = ray.put(preload_tables(index_dir))
         self._preload_ref = ref        # keep alive for the pool's lifetime
         self.actors = [
             _SearcherActor.options(num_cpus=num_cpus).remote(
-                index_dir, [ref], scorer, k, algo, scorer_kw)
+                index_dir, [ref], scorer, k, scorer_kw)
             for _ in range(n_actors)]
         ray.get([a.ping.remote() for a in self.actors])   # fail fast
 

@@ -21,10 +21,10 @@ def corpus_dir(tmp_path_factory):
     return d
 
 
-def _run_cli(*args):
+def _run_cli(*args, cpus: int = 4):
     env = dict(os.environ, PYTHONPATH=REPO, RAY_ADDRESS="local")
     return subprocess.run([sys.executable, "-m", "lucene_msmarco_ray.cli",
-                           "--num-cpus", "4", *args],
+                           "--num-cpus", str(cpus), *args],
                           capture_output=True, text=True, env=env, cwd=REPO,
                           timeout=420)
 
@@ -55,12 +55,13 @@ def test_cli_build_search_evaluate(corpus_dir, tmp_path):
     assert r.returncode == 0, r.stderr[-2000:]
     assert "macro" in r.stdout
 
-    # WAND path through the CLI must produce the identical res file
-    res2 = str(tmp_path / "out_wand.res")
-    r = _run_cli("search", "--index", idx, "--queries", qf, "--out", res2,
-                 "--k", "20", "--algo", "wand")
+    # a one-CPU cluster: the lone searcher actor must not starve the
+    # producer tasks feeding it, and the res file must not change
+    res1 = str(tmp_path / "out_1cpu.res")
+    r = _run_cli("search", "--index", idx, "--queries", qf, "--out", res1,
+                 "--k", "20", cpus=1)
     assert r.returncode == 0, r.stderr[-2000:]
-    assert open(res).read() == open(res2).read()
+    assert open(res).read() == open(res1).read()
 
     # printfdbkterms.sh equivalent: qid headers + "term: weight" lines
     r = _run_cli("fdbkterms", "--index", idx, "--run", res,

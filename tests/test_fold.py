@@ -53,3 +53,30 @@ def test_coarse_group_agg_single_group_many_parts(ray_session):
                            num_parts=64).to_pandas()
     assert len(got) == 1
     assert got.loc[0, "s"] == 4950 and got.loc[0, "n"] == 100
+
+
+def test_coarse_group_agg_null_and_dictionary_keys(ray_session):
+    """A null key is a group of its own, as in Ray's groupby().aggregate;
+    a dictionary-encoded key emits no rows for categories absent from the
+    data (or from a partition)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from lucene_msmarco_ray.ops.fold import coarse_group_agg
+
+    tbl = pa.table({"k": pa.array(["a", None, "a", None, "b"]),
+                    "v": pa.array([1, 2, 3, 4, 5], pa.int64())})
+    got = coarse_group_agg(rd.from_arrow(tbl), ["k"],
+                           [("s", "v", "sum")], num_parts=3).to_pandas()
+    assert sorted(((k if isinstance(k, str) else None, s)
+                   for k, s in zip(got["k"], got["s"])), key=str) == \
+        [("a", 4), ("b", 5), (None, 6)]
+
+    keys = pa.DictionaryArray.from_arrays(
+        pa.array([0, 1, 0, 1, 0], pa.int32()), pa.array(["a", "b", "c"]))
+    tbl = pa.table({"k": keys, "v": pa.array([1, 2, 3, 4, 5], pa.int64())})
+    got = coarse_group_agg(rd.from_arrow(tbl), ["k"],
+                           [("s", "v", "sum"), ("n", "v", "size")],
+                           num_parts=4).to_pandas()
+    assert sorted(zip(got["k"].astype(str), got["s"], got["n"])) == \
+        [("a", 9, 3), ("b", 6, 2)]

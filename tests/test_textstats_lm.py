@@ -217,6 +217,29 @@ def test_bigram_lm_perplexity_goldens(ray_session):
     assert out["ppl"].tolist()[2:] == [1.0, 1.0]
 
 
+def test_pair_micro_vocabulary_miss_counts_one(ray_session):
+    """Pairs scored against a unigram table counted on another corpus: a
+    word missing from the table counts 1, as in the two-level path, never
+    the count of the table's last term."""
+    import pyarrow as pa
+    import ray
+
+    from lucene_msmarco_ray.ops.textstats import _SEP, _PairMicro
+    # unigram table a=2 b=3 zz=50 → T=55; x and y are not in it
+    uref = ray.put((np.array(["a", "b", "zz"], dtype=object),
+                    np.array([2.0, 3.0, 50.0])))
+    out = _PairMicro(uref, lam=0.9, total=55.0)(pa.table({
+        "pair": [f"a{_SEP}b", f"x{_SEP}a", f"b{_SEP}y"],
+        "c": pa.array([2, 1, 1], pa.int64())}))
+
+    def micro(c12, c1, c2):
+        p = 0.9 * c12 / c1 + (1.0 - 0.9) * c2 / 55.0
+        return math.floor(math.log(p) * 1e6 + 0.5)
+
+    assert out["micro"].to_pylist() == [
+        micro(2, 2, 3), micro(1, 1, 2), micro(1, 3, 1)]
+
+
 def test_chunk_boundaries_goldens(ray_session):
     from lucene_msmarco_ray.ops.textstats import chunk_boundaries
     ds = _docs(["a b c d e", "x y", ""])

@@ -1,12 +1,16 @@
-"""Block-max WAND must return EXACTLY the TAAT top-k (scores and tie-break)."""
+"""Block-max WAND must return EXACTLY the TAAT top-k (scores and tie-break);
+serving scores every query with TAAT and never reaches WAND."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from lucene_msmarco_ray.config import EngineConfig
 from lucene_msmarco_ray.index.build import build_index
 from lucene_msmarco_ray.search.scoring import BM25Scorer
-from lucene_msmarco_ray.search.searcher import IndexReader, score_query_taat
+from lucene_msmarco_ray.search import wand
+from lucene_msmarco_ray.search.searcher import (IndexReader, SearchStage,
+                                                score_query_taat)
 from lucene_msmarco_ray.search.wand import score_query_wand
 from lucene_msmarco_ray.synth import generate_corpus
 
@@ -54,3 +58,31 @@ def test_wand_bm25_ref_params(wand_index):
     dw, sw = score_query_wand(r, q, 10, scorer)
     assert dt.tolist() == dw.tolist()
     np.testing.assert_allclose(st, sw, rtol=1e-12)
+
+
+def test_search_stage_never_routes_to_wand(wand_index, monkeypatch):
+    """A selective query (total df <= 20k, the bound below which serving
+    once switched to the per-document WAND loop) and a broad one are both
+    answered by TAAT."""
+    def no_wand(*a, **k):
+        raise AssertionError("SearchStage reached score_query_wand")
+    monkeypatch.setattr(wand, "score_query_wand", no_wand)
+
+    r = wand_index
+    by_df = sorted(r._cache, key=lambda t: (-r.df(t), t))
+    broad, total = [], 0
+    for t in by_df:
+        broad.append(t)
+        total += r.df(t)
+        if total > 20_000:
+            break
+    selective = by_df[-2:] + by_df[:1]
+    assert total > 20_000 >= sum(r.df(t) for t in selective)
+
+    stage = SearchStage(r.index_dir, k=100, preload=True, k1=0.7, b=0.3)
+    scorer = BM25Scorer(k1=0.7, b=0.3)
+    for terms in (selective, broad):
+        run = stage(pa.table({"qid": ["q"], "terms": [terms]}))
+        dt, st = score_query_taat(r, {t: 1.0 for t in terms}, 100, scorer)
+        assert run["doc_id"].to_pylist() == dt.tolist()
+        assert run["score"].to_pylist() == st.tolist()
