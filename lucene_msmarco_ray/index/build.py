@@ -416,20 +416,9 @@ def build_index(
     # call passed — a resumed build on an index that has since been
     # APPENDED to (append.append_documents registers extra partitions)
     # must not shrink the doc stats back to the original build's.
-    # Fallback (manifests written before total_len existed):
-    # footer row counts + one parallel column sum.
     pstats = list(man.data["partitions"].values())
-    if all("total_len" in p for p in pstats):
-        ndocs = sum(int(p["rows"]) for p in pstats)
-        total_len = sum(int(p["total_len"]) for p in pstats)
-    else:
-        meta_files = expand_parquet_files(_staged_dirs(out_dir, "m"))
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=16) as ex:
-            ndocs = sum(ex.map(lambda f: pq.read_metadata(f).num_rows,
-                               meta_files))
-        total_len = int(rd.read_parquet(meta_files, columns=["dl"]).sum("dl")) \
-            if ndocs else 0
+    ndocs = sum(int(p["rows"]) for p in pstats)
+    total_len = sum(int(p["total_len"]) for p in pstats)
     avgdl = (total_len / ndocs) if ndocs else 0.0
     n_salt = max(1, int(np.ceil(ndocs / cfg.salt_docs_per_bucket))) if ndocs else 1
 

@@ -72,13 +72,11 @@ class Manifest:
         return input_sha is None or p.get("input_sha") == input_sha
 
     def mark_partition(self, pid: str, sha: str, rows: int,
-                       files: list[str], input_sha: str | None = None,
-                       total_len: int | None = None) -> None:
+                       files: list[str], total_len: int,
+                       input_sha: str | None = None) -> None:
         self.data["partitions"][pid] = {
             "status": "done", "sha": sha, "rows": rows, "files": files,
-            "input_sha": input_sha}
-        if total_len is not None:
-            self.data["partitions"][pid]["total_len"] = int(total_len)
+            "input_sha": input_sha, "total_len": int(total_len)}
 
     # --- merge stage ---
     @property

@@ -201,7 +201,7 @@ def embedding_neardup(ds, threshold: float = 0.95, id_col: str = "vec_id",
     web scale use lsh_knn bucketing as the candidate generator instead."""
     import tempfile
 
-    from .dedup import _mix64
+    from .fold import _mix64
     work_dir = work_dir or tempfile.mkdtemp(prefix="graft_neardup_")
 
     def add_block(batch: pa.Table) -> pa.Table:

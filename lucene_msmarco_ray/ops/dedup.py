@@ -36,6 +36,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import fold
+from .fold import _mix64, coarse_group_agg, partition_fold
+
 logger = logging.getLogger(__name__)
 
 M31 = (1 << 31) - 1          # Mersenne prime modulus (SQL-safe int64 products)
@@ -136,18 +139,6 @@ def _tokenize_batch(texts: list[str]) -> tuple[list[str], np.ndarray]:
     return flat, cnt
 
 
-def _mix64(h: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (public-domain constant avalanche), vectorized."""
-    h = h.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        h ^= h >> np.uint64(30)
-        h *= np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(27)
-        h *= np.uint64(0x94D049BB133111EB)
-        h ^= h >> np.uint64(31)
-    return h
-
-
 #: Independent bases of the 124-bit exact-dedup content hash (4 × 31 bits).
 CONTENT_HASH_BASES = (131, 137, 139, 149)
 
@@ -215,7 +206,6 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
         return pa.Table.from_arrays(
             [hashes, batch[id_col]], names=["content_hash", id_col])
 
-    from .fold import coarse_group_agg
     pairs = ds.map_batches(add_hash, batch_format="pyarrow")
     return coarse_group_agg(pairs, ["content_hash"],
                             [("doc_id", id_col, "min"),
@@ -283,29 +273,6 @@ class _MinHashStage:
         })
 
 
-_NUM_PARTS = 64     # coarse shuffle partitions for bucket-local work
-
-
-def coarse_parts(num_parts: int | None = None) -> int:
-    """Coarse shuffle partition count for bucket-local work.
-
-    A fixed count caps reduce parallelism at that many tasks no matter how
-    big the cluster is; too many partitions pays ~1 ms pandas overhead per
-    near-empty group (measured round 2). The default scales with the
-    cluster — 2 partitions per core, floor ``_NUM_PARTS`` — so a 32-CPU
-    node keeps the measured-optimal 64 while a 256-node cluster gets
-    thousands. Resolved at PLAN time on the driver (workers never call
-    this)."""
-    if num_parts is not None:
-        return int(num_parts)
-    try:
-        import ray
-        cpus = int(ray.cluster_resources().get("CPU", 0)) or _NUM_PARTS // 2
-    except Exception:
-        cpus = _NUM_PARTS // 2
-    return max(_NUM_PARTS, cpus * 2)
-
-
 def _segments(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Starts/sizes of equal-key runs in a sorted key array."""
     if keys.size == 0:
@@ -349,20 +316,10 @@ def _bucket_pairs(g: pd.DataFrame, max_bucket: int) -> pd.DataFrame:
                          "doc_b": np.concatenate(out_b)})
 
 
-def _dedup_pairs(pairs, extra: tuple[str, ...] = (),
-                 num_parts: int | None = None):
+def _dedup_pairs(pairs, extra: tuple[str, ...] = ()):
     """Distinct (doc_a, doc_b) rows via ONE coarse int-keyed shuffle.
     ``extra`` columns are carried from the first occurrence (they are
     deterministic per pair for every caller here)."""
-    parts = np.uint64(coarse_parts(num_parts))
-
-    def part_of(batch: pa.Table) -> pa.Table:
-        a = batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bb = batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            p = _mix64(a * np.uint64(0x9E3779B97F4A7C15) ^ bb)
-        return batch.append_column(
-            "__part", pa.array((p % parts).astype(np.int64)))
 
     def uniq(g: pd.DataFrame) -> pd.DataFrame:
         a = g["doc_a"].to_numpy()
@@ -377,14 +334,13 @@ def _dedup_pairs(pairs, extra: tuple[str, ...] = (),
         return pd.DataFrame(cols)
 
     uniq.__name__ = "distinct_pairs"
-    return (pairs.map_batches(part_of, batch_format="pyarrow")
-            .groupby("__part").map_groups(uniq, batch_format="pandas"))
+    return partition_fold(pairs, ["doc_a", "doc_b"], uniq)
 
 
 def minhash_lsh_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
                            num_perm: int = 64, bands: int = 16,
                            shingle_k: int = 3, max_bucket: int = 1000,
-                           seed: int = 13, num_parts: int | None = None):
+                           seed: int = 13):
     """Near-duplicate candidate pairs via MinHash-LSH.
 
     → (doc_a, doc_b) distinct pairs that collide in ≥1 band. Buckets larger
@@ -392,12 +348,10 @@ def minhash_lsh_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
     scale a giant bucket means a boilerplate cluster; cap and handle those
     via exact_dedup first.
 
-    Shuffle discipline: TWO int-keyed exchanges total — band rows grouped by
-    ``bucket % _NUM_PARTS`` (bucket-local pair expansion is vectorized inside
-    each partition), then pair dedup grouped by a pair-hash partition. No
-    per-tiny-group pandas overhead (measured 10x on the sf0.1 bench)."""
-
-    parts = np.uint64(coarse_parts(num_parts))
+    Shuffle discipline: TWO int-keyed coarse folds total — band rows by
+    bucket (bucket-local pair expansion is vectorized inside each
+    partition), then pair dedup by pair. No per-tiny-group pandas overhead
+    (measured 10x on the sf0.1 bench)."""
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         return _bucket_pairs(g, max_bucket)
@@ -408,17 +362,9 @@ def minhash_lsh_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
             num_perm=num_perm, bands=bands, shingle_k=shingle_k,
             text_col=text_col, id_col=id_col, seed=seed),
         batch_format="pyarrow", concurrency=(1, 8))
-
-    def part_of(batch: pa.Table) -> pa.Table:
-        bk = batch["bucket"].to_numpy(zero_copy_only=False).view(np.uint64)
-        return batch.append_column(
-            "__part", pa.array((bk % parts).astype(np.int64)))
-
-    pairs = (rows.map_batches(part_of, batch_format="pyarrow")
-             .groupby("__part").map_groups(bucket_pairs,
-                                           batch_format="pandas"))
+    pairs = partition_fold(rows, "bucket", bucket_pairs)
     # distinct pairs (a pair can collide in several bands)
-    return _dedup_pairs(pairs, num_parts=num_parts)
+    return _dedup_pairs(pairs)
 
 
 # simhash band layout over the 62-bit fingerprint: widths/shifts chosen so
@@ -476,14 +422,11 @@ class _SimHashStage:
 
 
 def simhash_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
-                  max_hamming: int = 3, max_bucket: int = 1000,
-                  num_parts: int | None = None):
+                  max_hamming: int = 3, max_bucket: int = 1000):
     """SimHash near-dup pairs: 4 disjoint bands (16+16+15+15 of 62 bits) for
     candidates, Hamming-verified — any pair within distance d≤3 shares ≥1
     exact band (pigeonhole), so results equal the all-pairs scan whenever no
     bucket overflows ``max_bucket`` (overflows are logged)."""
-
-    parts = np.uint64(coarse_parts(num_parts))
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         # one coarse partition = many band buckets; vectorize across them
@@ -526,22 +469,14 @@ def simhash_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     sigs = ds.map_batches(
         _SimHashStage, fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col),
         batch_format="pyarrow", concurrency=(1, 8))
-
-    def part_of(batch: pa.Table) -> pa.Table:
-        bk = batch["bkey"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = _mix64(bk) % parts
-        return batch.append_column("__part", pa.array(p.astype(np.int64)))
-
-    allpairs = (sigs.map_batches(part_of, batch_format="pyarrow")
-                .groupby("__part").map_groups(verify, batch_format="pandas"))
+    allpairs = partition_fold(sigs, "bkey", verify)
     # hamming is deterministic per pair, so dedup keeps the first occurrence
-    return _dedup_pairs(allpairs, extra=("hamming",), num_parts=num_parts)
+    return _dedup_pairs(allpairs, extra=("hamming",))
 
 
 def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                         n: int = 3, threshold: float = 0.8,
-                        max_gram_df: int = 200,
-                        num_parts: int | None = None):
+                        max_gram_df: int = 200):
     """Exact n-gram Jaccard near-dup pairs via a gram inverted index:
     explode (gram_id, doc) → coarse-partition groupby → per-gram pairs →
     count shared grams per pair → jaccard = shared / (|A| + |B| - shared)
@@ -550,8 +485,8 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     Grams are identified by a 62-bit id (two independent 31-bit rolling
     hashes of the joined gram string — collision probability ~2^-62 per gram
     pair, negligible against the exactness contract). Both shuffles are
-    int-keyed coarse partitions (``% _NUM_PARTS``) with work vectorized
-    across the contained groups — no per-tiny-group pandas overhead.
+    int-keyed coarse folds with work vectorized across the contained
+    groups — no per-tiny-group pandas overhead.
 
     ``max_gram_df``: grams occurring in more than this many docs are dropped
     from pair generation (stop-gram pruning — they cannot discriminate and
@@ -559,8 +494,6 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     practice). Exactness holds for pairs whose similarity rests on at least
     one non-stop gram; boilerplate-only pairs are the domain of exact_dedup.
     """
-
-    parts = np.uint64(coarse_parts(num_parts))
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
@@ -582,10 +515,7 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         ng = np.repeat(sizes, sizes)
         return pa.table({"gram_id": pa.array(gid),
                          "doc_id": pa.array(doc_of),
-                         "n_grams": pa.array(ng),
-                         "__part": pa.array(
-                             (_mix64(gid.view(np.uint64))
-                              % parts).astype(np.int64))})
+                         "n_grams": pa.array(ng)})
 
     def gram_pairs(g: pd.DataFrame) -> pd.DataFrame:
         gid = g["gram_id"].to_numpy()
@@ -613,14 +543,6 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
 
     gram_pairs.__name__ = "gram_pairs"
 
-    def pair_part(batch: pa.Table) -> pa.Table:
-        a = batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bb = batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            p = _mix64(a * np.uint64(0x9E3779B97F4A7C15) ^ bb)
-        return batch.append_column(
-            "__part", pa.array((p % parts).astype(np.int64)))
-
     def count_shared(g: pd.DataFrame) -> pd.DataFrame:
         a = g["doc_a"].to_numpy()
         bb = g["doc_b"].to_numpy()
@@ -642,15 +564,12 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
 
     count_shared.__name__ = "count_shared"
     grams = ds.map_batches(explode, batch_format="pyarrow")
-    pairs = grams.groupby("__part").map_groups(gram_pairs,
-                                               batch_format="pandas")
-    return (pairs.map_batches(pair_part, batch_format="pyarrow")
-            .groupby("__part").map_groups(count_shared,
-                                          batch_format="pandas"))
+    pairs = partition_fold(grams, "gram_id", gram_pairs)
+    return partition_fold(pairs, ["doc_a", "doc_b"], count_shared)
 
 
 def duplicate_spans(ds, text_col: str = "text", id_col: str = "doc_id",
-                    w: int = 20, num_parts: int | None = None):
+                    w: int = 20):
     """Per-document duplicated-text fraction: the share of a document's
     distinct ``w``-token spans that also occur in at least one OTHER
     document (or twice here — occurrence counting is by document) — the
@@ -673,7 +592,6 @@ def duplicate_spans(ds, text_col: str = "text", id_col: str = "doc_id",
     → (doc_id, n_spans, n_dup_spans, dup_frac); documents with fewer than
     ``w`` tokens emit nothing (they have no spans).
     """
-    parts = np.uint64(coarse_parts(num_parts))
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
@@ -697,10 +615,7 @@ def duplicate_spans(ds, text_col: str = "text", id_col: str = "doc_id",
         keep[1:] = (doc_of[1:] != doc_of[:-1]) | (gid[1:] != gid[:-1])
         doc_of, gid = doc_of[keep], gid[keep]
         return pa.table({"gram_id": pa.array(gid),
-                         "doc_id": pa.array(doc_of),
-                         "__part": pa.array(
-                             (_mix64(gid.view(np.uint64))
-                              % parts).astype(np.int64))})
+                         "doc_id": pa.array(doc_of)})
 
     def part_stats(g: pd.DataFrame) -> pd.DataFrame:
         gid = g["gram_id"].to_numpy()
@@ -712,15 +627,9 @@ def duplicate_spans(ds, text_col: str = "text", id_col: str = "doc_id",
         codes, uniq = pd.factorize(d)
         n = np.bincount(codes, minlength=uniq.size)
         nd = np.bincount(codes[dup], minlength=uniq.size)
-        # second exchange is coarse too: a direct groupby(doc_id)
-        # .aggregate over these 64 micro-blocks measured 17.5 s for 163k
-        # rows (high-cardinality sort-shuffle of tiny blocks); the coarse
-        # repartition + vectorized in-group sum is 0.2 s
         return pd.DataFrame({"doc_id": uniq.astype(np.int64),
                              "__n": n.astype(np.int64),
-                             "__nd": nd.astype(np.int64),
-                             "__dpart": (_mix64(uniq.astype(np.uint64))
-                                         % parts).astype(np.int64)})
+                             "__nd": nd.astype(np.int64)})
 
     part_stats.__name__ = "part_stats"
 
@@ -734,11 +643,13 @@ def duplicate_spans(ds, text_col: str = "text", id_col: str = "doc_id",
 
     doc_sums.__name__ = "doc_sums"
 
-    return (ds.map_batches(explode, batch_format="pyarrow")
-            .groupby("__part").map_groups(part_stats,
-                                          batch_format="pandas")
-            .groupby("__dpart").map_groups(doc_sums,
-                                           batch_format="pandas"))
+    stats = partition_fold(ds.map_batches(explode, batch_format="pyarrow"),
+                           "gram_id", part_stats)
+    # second exchange is coarse too: a direct groupby(doc_id).aggregate
+    # over these micro-blocks measured 17.5 s for 163k rows
+    # (high-cardinality sort-shuffle of tiny blocks); the coarse fold
+    # with a vectorized in-partition sum is 0.2 s
+    return partition_fold(stats, "doc_id", doc_sums)
 
 
 def flag_contaminated(ds, benchmark, n: int = 5, text_col: str = "text",
@@ -884,7 +795,7 @@ def connected_components_distributed(pairs, a_col: str = "doc_a",
       COMPOUNDS geometrically (64→192→448→960 over three rounds) and each
       round's sort grows superlinearly with partition count (18s→35s→101s
       on constant data). Every round re-pins ``labels`` to
-      ``coarse_parts()`` blocks with a split/merge repartition.
+      :func:`.fold.coarse_parts` blocks with a split/merge repartition.
     * **Lineage cutting** — chaining rounds off ``materialize()`` drags
       the accumulated plan/stats lineage into every subsequent job:
       per-round time degrades 3s→44s over 12 rounds (a bare ``sum()``
@@ -895,7 +806,7 @@ def connected_components_distributed(pairs, a_col: str = "doc_a",
 
     from .join import bucketed_hash_join
 
-    parts = coarse_parts()
+    parts = fold.coarse_parts()     # via the module: tests pin the count
 
     def _snapshot(ds):
         # fresh Dataset over the SAME materialized blocks (zero-copy,
@@ -918,7 +829,6 @@ def connected_components_distributed(pairs, a_col: str = "doc_a",
     # coarse fold, not groupby().aggregate(): node cardinality scales
     # with the candidate-pair graph (ops/fold.py, 15.7x measured) — and
     # the per-round fold below pays this EVERY propagation round
-    from .fold import coarse_group_agg
     labels = (coarse_group_agg(
         edges.map_batches(init_nodes, batch_format="pyarrow"),
         ["node"], [("label", "label", "min")])

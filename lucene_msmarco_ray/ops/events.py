@@ -4,10 +4,10 @@
 * sessionize — gap-based sessions per user: consecutive events of a user
   belong to one session while the inter-event gap is ≤ ``gap_seconds``.
   Expressed as a composition (the prompt's option (a)): one coarse
-  int-keyed exchange co-locates each user's events (hash(user_id) into
-  ``coarse_parts()`` partitions — users are numerous and small, so
-  partitions batch many users and the session detection is ONE vectorized
-  pass per partition), no per-user pandas groups.
+  int-keyed exchange co-locates each user's events (``fold.partition_fold``
+  on user_id — users are numerous and small, so partitions batch many
+  users and the session detection is ONE vectorized pass per partition),
+  no per-user pandas groups.
 * windowed_agg — tumbling time windows per event type: a pure
   pre-aggregated groupby (window id computed in the map stage; the shuffle
   moves only (type, window, partial) rows).
@@ -28,7 +28,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .dedup import _mix64, coarse_parts
+from .fold import coarse_group_agg, partition_fold
 
 logger = logging.getLogger(__name__)
 
@@ -61,21 +61,16 @@ def _ts_us(col) -> np.ndarray:
 
 def sessionize(ds, gap_seconds: int = 1800, user_col: str = "user_id",
                ts_col: str = "ts", value_col: str = "value",
-               id_col: str = "event_id", hot_user_events: int = 5_000_000,
-               num_parts: int | None = None):
+               id_col: str = "event_id", hot_user_events: int = 5_000_000):
     """→ (user_id, session_id, n_events, start_us, end_us, total_value).
 
     session_id is the user's 0-based session ordinal by time; event order
     within equal timestamps breaks on event_id (deterministic, matches the
     SQL oracle's window ORDER BY ts, event_id)."""
     gap_us = int(gap_seconds) * 1_000_000
-    parts = np.uint64(coarse_parts(num_parts))
 
-    def part_of(batch: pa.Table) -> pa.Table:
-        u = batch[user_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_mix64(u) % parts).astype(np.int64)
+    def event_rows(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "__part": pa.array(p),
             "user_id": batch[user_col].cast(pa.int64()),
             "ts_us": pa.array(_ts_us(batch[ts_col])),
             "event_id": batch[id_col].cast(pa.int64()),
@@ -110,15 +105,14 @@ def sessionize(ds, gap_seconds: int = 1800, user_col: str = "user_id",
         })
 
     sessions.__name__ = "sessionize"
-    return (ds.map_batches(part_of, batch_format="pyarrow")
-            .groupby("__part").map_groups(sessions, batch_format="pandas"))
+    return partition_fold(ds.map_batches(event_rows, batch_format="pyarrow"),
+                          "user_id", sessions)
 
 
 def sessionize_chunked(ds, gap_seconds: int = 1800,
                        chunk_seconds: int = 86_400,
                        user_col: str = "user_id", ts_col: str = "ts",
-                       value_col: str = "value",
-                       num_parts: int | None = None):
+                       value_col: str = "value"):
     """Skew-proof sessionize: identical output to :func:`sessionize`, but no
     partition ever holds more than one (user, time-chunk) of events — the
     scale path for hot users that plain sessionize can only detect and log.
@@ -140,19 +134,12 @@ def sessionize_chunked(ds, gap_seconds: int = 1800,
     streams). No assumption on events per user overall."""
     gap_us = int(gap_seconds) * 1_000_000
     chunk_us = int(chunk_seconds) * 1_000_000
-    parts = np.uint64(coarse_parts(num_parts))
 
-    def part_of(batch: pa.Table) -> pa.Table:
-        u = batch[user_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+    def chunk_rows(batch: pa.Table) -> pa.Table:
         ts = _ts_us(batch[ts_col])
-        chunk = (ts // chunk_us).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            key = u * np.uint64(0x9E3779B97F4A7C15) + chunk
-        p = (_mix64(key) % parts).astype(np.int64)
         return pa.table({
-            "__part": pa.array(p),
             "user_id": batch[user_col].cast(pa.int64()),
-            "chunk": pa.array(chunk.astype(np.int64)),
+            "chunk": pa.array(ts // chunk_us),
             "ts_us": pa.array(ts),
             "value": batch[value_col].cast(pa.float64()),
         })
@@ -177,11 +164,6 @@ def sessionize_chunked(ds, gap_seconds: int = 1800,
             "end_us": ts[starts + sizes - 1],
             "total_value": np.add.reduceat(val, starts),
         })
-
-    def upart(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_mix64(u) % parts).astype(np.int64)
-        return batch.append_column("__p2", pa.array(p))
 
     def merge_fragments(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
@@ -213,19 +195,15 @@ def sessionize_chunked(ds, gap_seconds: int = 1800,
 
     chunk_sessions.__name__ = "sessionize_chunks"
     merge_fragments.__name__ = "merge_session_fragments"
-    frags = (ds.map_batches(part_of, batch_format="pyarrow")
-             .groupby("__part").map_groups(chunk_sessions,
-                                           batch_format="pandas"))
-    return (frags.map_batches(upart, batch_format="pyarrow")
-            .groupby("__p2").map_groups(merge_fragments,
-                                        batch_format="pandas"))
+    frags = partition_fold(ds.map_batches(chunk_rows, batch_format="pyarrow"),
+                           ["user_id", "chunk"], chunk_sessions)
+    return partition_fold(frags, "user_id", merge_fragments)
 
 
 def asof_join(left_ds, right_ds, by_col: str, ts_col: str,
               right_cols: dict[str, str], left_cols: list[str],
               left_schema: pa.Schema | None = None,
-              right_schema: pa.Schema | None = None,
-              num_parts: int | None = None):
+              right_schema: pa.Schema | None = None):
     """Backward as-of join (prompt §custom-operators): for every left row,
     the LATEST right row of the same ``by_col`` with right.ts <= left.ts.
 
@@ -293,15 +271,6 @@ def asof_join(left_ds, right_ds, by_col: str, ts_col: str,
                    for c, o in right_cols.items()]
     out_schema = pa.schema(out_fields)
 
-    parts = np.uint64(coarse_parts(num_parts))
-
-    def part_of(batch: pa.Table) -> pa.Table:
-        u = batch[by_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_mix64(u) % parts).astype(np.int64)
-        return batch.append_column("__part", pa.array(p))
-
-    both = lds.union(rds).map_batches(part_of, batch_format="pyarrow")
-
     def join_part(g: pd.DataFrame) -> pa.Table:
         lg = g[g["__side"] == 0][[by_col, "__ts"] + left_cols] \
             .sort_values(["__ts", by_col], kind="mergesort")
@@ -319,19 +288,17 @@ def asof_join(left_ds, right_ds, by_col: str, ts_col: str,
         return pa.Table.from_arrays(cols, schema=out_schema)
 
     join_part.__name__ = "asof_join"
-    return both.groupby("__part").map_groups(join_part,
-                                             batch_format="pandas")
+    return partition_fold([lds, rds], by_col, join_part)
 
 
 def cumulative_agg(ds, key_col: str = "user_id", ts_col: str = "ts",
                    value_col: str = "value", id_col: str = "event_id",
-                   hot_user_events: int = 5_000_000,
-                   num_parts: int | None = None):
+                   hot_user_events: int = 5_000_000):
     """Per-key running aggregates ordered by (ts, id) — one output row per
     event: (event_id, user_id, ts_us, cum_events, cum_value).
 
     Composition: ONE coarse int-keyed exchange co-locates each key's events
-    (hash(key) into ``coarse_parts()`` partitions, many keys per partition),
+    (``partition_fold`` on the key, many keys per partition),
     then a single vectorized pass per partition: lexsort + segmented cumsum.
     Values sum as exact int64 hundredths (the sliding_window fixed-point
     discipline) so the running totals are bit-stable under any partitioning
@@ -341,15 +308,11 @@ def cumulative_agg(ds, key_col: str = "user_id", ts_col: str = "ts",
     sessionize, enforced by ``hot_user_events`` detection + logging); use
     :func:`cumulative_agg_chunked` for pathologically hot keys — identical
     output with a per-chunk offset scan like ``pack_sequences``."""
-    parts = np.uint64(coarse_parts(num_parts))
 
-    def part_of(batch: pa.Table) -> pa.Table:
-        u = batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_mix64(u) % parts).astype(np.int64)
+    def event_rows(batch: pa.Table) -> pa.Table:
         v = batch[value_col].to_numpy(zero_copy_only=False)
         cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
         return pa.table({
-            "__part": pa.array(p),
             "user_id": batch[key_col].cast(pa.int64()),
             "ts_us": pa.array(_ts_us(batch[ts_col])),
             "event_id": batch[id_col].cast(pa.int64()),
@@ -379,15 +342,14 @@ def cumulative_agg(ds, key_col: str = "user_id", ts_col: str = "ts",
         })
 
     running.__name__ = "cumulative_agg"
-    return (ds.map_batches(part_of, batch_format="pyarrow")
-            .groupby("__part").map_groups(running, batch_format="pandas"))
+    return partition_fold(ds.map_batches(event_rows, batch_format="pyarrow"),
+                          "user_id", running)
 
 
 def cumulative_agg_chunked(ds, chunk_seconds: int = 86_400,
                            key_col: str = "user_id", ts_col: str = "ts",
                            value_col: str = "value",
-                           id_col: str = "event_id",
-                           num_parts: int | None = None):
+                           id_col: str = "event_id"):
     """Skew-proof :func:`cumulative_agg`: identical output, but no
     partition ever holds more than one (key, time-chunk) of events — the
     scale path for hot keys that plain cumulative_agg can only detect.
@@ -409,7 +371,6 @@ def cumulative_agg_chunked(ds, chunk_seconds: int = 86_400,
     Partitioning assumption: one key's events within one ``chunk_seconds``
     window fit a task. No assumption on events per key overall."""
     chunk_us = int(chunk_seconds) * 1_000_000
-    parts = np.uint64(coarse_parts(num_parts))
 
     def _cents_of(batch: pa.Table) -> np.ndarray:
         v = batch[value_col].to_numpy(zero_copy_only=False)
@@ -425,11 +386,6 @@ def cumulative_agg_chunked(ds, chunk_seconds: int = 86_400,
         agg = df.groupby(["user_id", "chunk"], sort=False).agg(
             n=("cents", "size"), c=("cents", "sum")).reset_index()
         return pa.Table.from_pandas(agg, preserve_index=False)
-
-    def user_part(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_mix64(u) % parts).astype(np.int64)
-        return batch.append_column("__p1", pa.array(p))
 
     def exclusive_prefix(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
@@ -452,28 +408,18 @@ def cumulative_agg_chunked(ds, chunk_seconds: int = 86_400,
     exclusive_prefix.__name__ = "chunk_exclusive_prefix"
     # coarse fold, not groupby().aggregate(): (user, chunk) cardinality
     # scales with the event stream (ops/fold.py, 15.7x measured)
-    from .fold import coarse_group_agg
-    offsets = (coarse_group_agg(
+    totals = coarse_group_agg(
         ds.map_batches(chunk_partials, batch_format="pyarrow"),
         ["user_id", "chunk"],
         [("sum(n)", "n", "sum"), ("sum(c)", "c", "sum")])
-        .map_batches(user_part, batch_format="pyarrow")
-        .groupby("__p1").map_groups(exclusive_prefix,
-                                    batch_format="pandas"))
+    offsets = partition_fold(totals, "user_id", exclusive_prefix)
 
     # ---- pass 2: events + offsets share one hash(key, chunk) exchange
-    def _kc_part(u: np.ndarray, c: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            key = (u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                   + c.astype(np.uint64))
-        return (_mix64(key) % parts).astype(np.int64)
-
     def event_rows(batch: pa.Table) -> pa.Table:
         u = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         ts = _ts_us(batch[ts_col])
         c = ts // chunk_us
         return pa.table({
-            "__part": pa.array(_kc_part(u, c)),
             "__kind": pa.array(np.zeros(u.size, np.int8)),
             "user_id": pa.array(u),
             "chunk": pa.array(c),
@@ -488,7 +434,6 @@ def cumulative_agg_chunked(ds, chunk_seconds: int = 86_400,
         c = batch["chunk"].to_numpy(zero_copy_only=False).astype(np.int64)
         z = np.zeros(u.size, np.int64)
         return pa.table({
-            "__part": pa.array(_kc_part(u, c)),
             "__kind": pa.array(np.ones(u.size, np.int8)),
             "user_id": pa.array(u),
             "chunk": pa.array(c),
@@ -536,10 +481,10 @@ def cumulative_agg_chunked(ds, chunk_seconds: int = 86_400,
             "cum_value": np.round((off_c + (cs - base)) / 100.0, 6)})
 
     running_shifted.__name__ = "cumulative_agg_chunked"
-    both = (ds.map_batches(event_rows, batch_format="pyarrow")
-            .union(offsets.map_batches(offset_rows, batch_format="pyarrow")))
-    return both.groupby("__part").map_groups(running_shifted,
-                                             batch_format="pandas")
+    return partition_fold(
+        [ds.map_batches(event_rows, batch_format="pyarrow"),
+         offsets.map_batches(offset_rows, batch_format="pyarrow")],
+        ["user_id", "chunk"], running_shifted)
 
 
 def windowed_agg(ds, window_seconds: int = 3600, key_col: str = "event_type",
@@ -642,8 +587,7 @@ def sliding_window_agg(ds, window_seconds: int = 3600,
 def funnel_counts(ds, steps, within_seconds: int = 86_400,
                   user_col: str = "user_id", ts_col: str = "ts",
                   type_col: str = "event_type",
-                  hot_user_events: int = 5_000_000,
-                  num_parts: int | None = None):
+                  hot_user_events: int = 5_000_000):
     """Ordered-funnel analysis → (step, event_type, n_users): how many
     users complete the first k steps in order, each step within
     ``within_seconds`` of the previous one (greedy earliest-completion —
@@ -667,18 +611,14 @@ def funnel_counts(ds, steps, within_seconds: int = 86_400,
     test_funnel_counts_forced_skew_parity)."""
     steps = list(steps)
     win_us = int(within_seconds) * 1_000_000
-    parts = np.uint64(coarse_parts(num_parts))
 
-    def part_of(batch: pa.Table) -> pa.Table:
+    def step_rows(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         # prune non-step events BEFORE the exchange — at scale most rows
         # are funnel-irrelevant and must not cross the all-to-all
         batch = batch.filter(pc.is_in(batch[type_col].cast(pa.string()),
                                       value_set=pa.array(steps)))
-        u = batch[user_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        p = (_mix64(u) % parts).astype(np.int64)
         return pa.table({
-            "__part": pa.array(p),
             "user_id": batch[user_col].cast(pa.int64()),
             "ts_us": pa.array(_ts_us(batch[ts_col])),
             "etype": batch[type_col].cast(pa.string()),
@@ -728,16 +668,15 @@ def funnel_counts(ds, steps, within_seconds: int = 86_400,
             "n_users": batch["sum(n)"].cast(pa.int64()),
         })
 
-    return (ds.map_batches(part_of, batch_format="pyarrow")
-            .groupby("__part").map_groups(resolve, batch_format="pandas")
+    return (partition_fold(ds.map_batches(step_rows, batch_format="pyarrow"),
+                           "user_id", resolve)
             .groupby(["step", "event_type"]).aggregate(Sum("n"))
             .map_batches(finish, batch_format="pyarrow"))
 
 
 def cohort_retention(ds, period_seconds: int = 604_800,
                      user_col: str = "user_id", ts_col: str = "ts",
-                     hot_user_periods: int = 1_000_000,
-                     num_parts: int | None = None):
+                     hot_user_periods: int = 1_000_000):
     """Cohort retention → (cohort, offset, n_users): users whose FIRST
     activity falls in period ``cohort`` and who are also active in period
     ``cohort + offset`` (offset 0 = the cohort size itself).
@@ -754,16 +693,12 @@ def cohort_retention(ds, period_seconds: int = 604_800,
     a decade of weekly cohorts — enforced by detection + logging via
     ``hot_user_periods`` for degenerate period choices."""
     per_us = int(period_seconds) * 1_000_000
-    parts = np.uint64(coarse_parts(num_parts))
 
     def distinct_pairs(batch: pa.Table) -> pa.Table:
         u = batch[user_col].to_numpy(zero_copy_only=False)
         p = _ts_us(batch[ts_col]) // per_us
         df = pd.DataFrame({"u": u, "p": p}).drop_duplicates()
-        uu = df["u"].to_numpy(np.int64)
-        part = (_mix64(uu.astype(np.uint64)) % parts).astype(np.int64)
-        return pa.table({"__part": pa.array(part),
-                         "user_id": pa.array(uu),
+        return pa.table({"user_id": pa.array(df["u"].to_numpy(np.int64)),
                          "period": pa.array(df["p"].to_numpy(np.int64))})
 
     def offsets(g: pd.DataFrame) -> pd.DataFrame:
@@ -787,15 +722,15 @@ def cohort_retention(ds, period_seconds: int = 604_800,
                          "offset": batch["offset"],
                          "n_users": batch["sum(n)"].cast(pa.int64())})
 
-    return (ds.map_batches(distinct_pairs, batch_format="pyarrow")
-            .groupby("__part").map_groups(offsets, batch_format="pandas")
+    return (partition_fold(
+                ds.map_batches(distinct_pairs, batch_format="pyarrow"),
+                "user_id", offsets)
             .groupby(["cohort", "offset"]).aggregate(Sum("n"))
             .map_batches(finish, batch_format="pyarrow"))
 
 
 def time_deltas(ds, user_col: str = "user_id", ts_col: str = "ts",
-                id_col: str = "event_id", hot_user_events: int = 5_000_000,
-                num_parts: int | None = None):
+                id_col: str = "event_id", hot_user_events: int = 5_000_000):
     """Per-user inter-arrival deltas — the lag-window primitive for
     behavioral / inter-event-time features → (event_id, user_id, ts_us,
     delta_us) with ``delta_us = -1`` for a user's first event, else the
@@ -804,17 +739,14 @@ def time_deltas(ds, user_col: str = "user_id", ts_col: str = "ts",
     like SQL ``lag() OVER (PARTITION BY user ORDER BY ts, event_id)``).
 
     Composition: ONE coarse exchange co-locates each user's events
-    (hash(user) into :func:`coarse_parts` partitions), then one vectorized
+    (:func:`~.fold.partition_fold` on the user), then one vectorized
     lexsort + diff per partition — no per-user groups, no window shuffle.
     Skew bound: one user's events must fit a task; ``hot_user_events``
     enforces detection + logging via :func:`check_hot_users`, as in
     sessionize."""
-    parts = np.uint64(coarse_parts(num_parts))
 
-    def part_of(batch: pa.Table) -> pa.Table:
-        u = batch[user_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+    def event_rows(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "__part": pa.array((_mix64(u) % parts).astype(np.int64)),
             "event_id": batch[id_col].cast(pa.int64()),
             "user_id": batch[user_col].cast(pa.int64()),
             "ts_us": pa.array(_ts_us(batch[ts_col])),
@@ -836,5 +768,5 @@ def time_deltas(ds, user_col: str = "user_id", ts_col: str = "ts",
                              "delta_us": d})
 
     deltas.__name__ = "time_deltas"
-    return (ds.map_batches(part_of, batch_format="pyarrow")
-            .groupby("__part").map_groups(deltas, batch_format="pandas"))
+    return partition_fold(ds.map_batches(event_rows, batch_format="pyarrow"),
+                          "user_id", deltas)

@@ -1,38 +1,136 @@
-"""Coarse-partition vectorized group-fold — the repo's replacement for
-``groupby(high-cardinality key).aggregate(...)``.
+"""Hash co-location folds — the one way ``ops/`` groups rows by key.
 
-Ray Data's sort-based aggregate merges its per-block combined runs
-ROW-BY-ROW in Python (one AggregateFn accumulate call per row at the
+:func:`partition_fold` owns the three decisions every keyed fold makes:
+how many partitions (:func:`coarse_parts`), which partition a key hashes
+to (:func:`_partition_of`), and which Ray exchange co-locates the rows
+(``groupby(tag).map_groups``). Callers supply only the per-partition
+function, which sees MANY keys at once and folds them vectorized — never
+one Python call per key.
+
+Why coarse: Ray Data's sort-based aggregate merges its per-block combined
+runs ROW-BY-ROW in Python (one AggregateFn accumulate call per row at the
 block-merge boundary), which is fine when group cardinality is bounded
 (a vocabulary, k buckets) but O(corpus)·µs-scale-Python when the key
 scales with the data — doc ids, content hashes, user ids, join keys.
-Measured on this box (32 CPUs, 2M (content_hash, doc_id) rows, 864k
-groups, Min+Count): **22.05 s via groupby().aggregate vs 1.41 s via
-this fold — 15.7×**; at 500k docs the vocab_join per-doc fold went from
->25 min (unfinished reduce) to seconds after the same conversion.
+Measured (32 CPUs, 2M (content_hash, doc_id) rows, 864k groups,
+Min+Count): **22.05 s via groupby().aggregate vs 1.41 s via
+:func:`coarse_group_agg` — 15.7×**; at 500k docs the vocab_join per-doc
+fold went from >25 min (unfinished reduce) to seconds after the same
+conversion. Per-task heap is ``total_group_rows / coarse_parts()``, and
+the count scales with the cluster (2 per core), so a bigger cluster gets
+proportionally smaller folds.
 
-The fold is the pattern ``topk_per_group`` already uses (execution-shape
-rule #1 in ARCHITECTURE.md): ONE exchange keyed by a coarse hash of the
-group key — ``coarse_parts()`` partitions, MANY groups per partition —
-then one vectorized pandas groupby-agg per partition. Per-task heap is
-``total_group_rows / num_parts``; num_parts scales with the cluster
-(2 per core), so a bigger cluster gets proportionally smaller folds.
+Exactness: the partition hash only places rows, it never affects values
+— every fold's output is independent of the partition count up to row
+order (tests pin small and large counts by monkeypatching
+:func:`coarse_parts`).
 
-Exactness: int64 sums stay int64 through pandas groupby (exact), min /
-max / size involve no arithmetic; the partition hash only places rows,
-it never affects values — outputs are bit-identical to the aggregate
-version up to row order (every gate comparison sorts rows first).
+Exempt sites, which need the VALUE of a partition id rather than only
+co-location, tag their own rows:
+
+* ``join.bucketed_hash_join`` / ``bucketed_semi_join`` — salted hot-key
+  replicas target exact buckets; coarsening them would duplicate output;
+* ``relational.pack_sequences`` / ``take_token_budget`` — order-preserving
+  range buckets feed a driver-side prefix sum;
+* ``join._build_bloom`` — contiguous word ranges of the filter;
+* ``ann`` block files — one output file per block id;
+* ``dedup.connected_components_distributed`` — uses :func:`coarse_parts`
+  as a repartition block count, not a hash.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .dedup import _mix64, coarse_parts
+_NUM_PARTS = 64     # partition-count floor for coarse folds
+
+#: name of the int64 partition tag column the per-partition function sees
+PART_COL = "__part"
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def coarse_group_agg(ds, keys, aggs, num_parts: int | None = None):
+def _mix64(h: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer (public-domain constant avalanche), vectorized."""
+    h = h.astype(np.uint64, copy=True)
+    with np.errstate(over="ignore"):
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(27)
+        h *= np.uint64(0x94D049BB133111EB)
+        h ^= h >> np.uint64(31)
+    return h
+
+
+def coarse_parts() -> int:
+    """Coarse shuffle partition count for keyed folds.
+
+    A fixed count caps reduce parallelism at that many tasks no matter how
+    big the cluster is; too many partitions pays ~1 ms pandas overhead per
+    near-empty group (measured round 2). The count scales with the
+    cluster — 2 partitions per core, floor ``_NUM_PARTS`` — so a 32-CPU
+    node keeps the measured-optimal 64 while a 256-node cluster gets
+    thousands. Resolved at PLAN time on the driver (workers never call
+    this)."""
+    try:
+        import ray
+        cpus = int(ray.cluster_resources().get("CPU", 0)) or _NUM_PARTS // 2
+    except Exception:
+        cpus = _NUM_PARTS // 2
+    return max(_NUM_PARTS, cpus * 2)
+
+
+def _partition_of(batch: pa.Table, keys: list[str], parts: int) -> np.ndarray:
+    """Partition id of every row: splitmix64 over the key columns folded
+    together when every key is an integer column (one vectorized pass, no
+    pandas), else one combined ``hash_pandas_object`` hash of the key
+    columns (strings and dictionaries hash by value). A null integer
+    shares value 0's partition, so a block with nulls places its other
+    keys exactly like a block without (pandas would widen it to float)."""
+    cols = [pc.fill_null(c, 0) if pa.types.is_integer(c.type) and c.null_count
+            else c for c in (batch[k] for k in keys)]
+    if all(pa.types.is_integer(c.type) for c in cols):
+        h = np.zeros(batch.num_rows, np.uint64)
+        with np.errstate(over="ignore"):
+            for c in cols:
+                h = _mix64(h * _GOLDEN ^ c.to_numpy().astype(np.uint64))
+    else:
+        h = _mix64(pd.util.hash_pandas_object(
+            pa.table(cols, names=keys).to_pandas(), index=False).to_numpy())
+    return (h % np.uint64(parts)).astype(np.int64)
+
+
+def partition_fold(ds, keys, fn, batch_format: str = "pandas"):
+    """Co-locate the rows of ``ds`` that share ``keys`` (a column name or
+    a list of them) in one of :func:`coarse_parts` partitions and apply
+    ``fn`` to each whole partition — many keys per call, so ``fn``
+    should fold them vectorized.
+
+    ``ds`` may be a list of Datasets with one schema (the sides of a
+    join): each is tagged in its own map stage, then they are unioned.
+    ``fn`` receives the partition as ``batch_format`` ("pandas" or
+    "pyarrow") with an extra int64 :data:`PART_COL` column; whatever it
+    returns is the output block. The exchange is one
+    ``groupby(PART_COL).map_groups(fn)``, so ``fn.__name__`` names the
+    operator in ``Dataset.stats()``."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    parts = coarse_parts()
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            PART_COL, pa.array(_partition_of(batch, keys, parts)))
+
+    tag.__name__ = f"tag_{fn.__name__}"
+    first, *rest = [d.map_batches(tag, batch_format="pyarrow")
+                    for d in (ds if isinstance(ds, list) else [ds])]
+    both = first.union(*rest) if rest else first
+    return both.groupby(PART_COL).map_groups(fn, batch_format=batch_format)
+
+
+def coarse_group_agg(ds, keys, aggs):
     """Group ``ds`` by ``keys`` and fold ``aggs`` through one coarse
     exchange.
 
@@ -43,25 +141,18 @@ def coarse_group_agg(ds, keys, aggs, num_parts: int | None = None):
 
     Keys: a null key is a group of its own (as in ``groupby().aggregate``);
     a dictionary-encoded key yields rows only for the values present.
+    int64 sums stay int64 through pandas groupby (exact) and min / max /
+    size involve no arithmetic, so outputs are bit-identical to the
+    ``groupby().aggregate`` version up to row order.
     """
-    import pandas as pd
-
     keys = list(keys)
-    num_parts = coarse_parts(num_parts)
     named = {out: pd.NamedAgg(column=col, aggfunc=fn)
              for out, col, fn in aggs}
     out_cols = keys + [out for out, _, _ in aggs]
-
-    def tag(batch: pa.Table) -> pa.Table:
-        kdf = batch.select(keys).to_pandas()
-        h = pd.util.hash_pandas_object(kdf, index=False).to_numpy()
-        part = (_mix64(h) % np.uint64(num_parts)).astype(np.int64)
-        return batch.append_column("__part", pa.array(part))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(keys, sort=False, dropna=False, observed=True)
                .agg(**named).reset_index())
         return out[out_cols]
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("__part").map_groups(fold, batch_format="pandas"))
+    return partition_fold(ds, keys, fold)

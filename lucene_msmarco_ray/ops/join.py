@@ -287,7 +287,6 @@ def bucketed_semi_join(left, right, key: str, how: str = "semi",
 def bucketed_range_join(left, right, *, lo_col: str, hi_col: str,
                         point_col: str, key: str | None = None,
                         bucket_width: int = 3_600_000_000,
-                        num_parts: int | None = None,
                         max_span_buckets: int = 1024,
                         left_schema: pa.Schema | None = None,
                         right_schema: pa.Schema | None = None):
@@ -298,23 +297,22 @@ def bucketed_range_join(left, right, *, lo_col: str, hi_col: str,
 
     Physical plan: each left interval replicates to its covering buckets
     ``lo // bucket_width .. hi // bucket_width``; each right point lands in
-    exactly ONE bucket (so no output dedup is needed); one coarse exchange on
-    ``hash(key, bucket) % num_parts`` co-locates candidates; each partition
-    merges its sides on (key, bucket) and filters the exact range — all
-    vectorized C kernels.
+    exactly ONE bucket (so no output dedup is needed); one coarse
+    :func:`~.fold.partition_fold` on (key, bucket) co-locates candidates;
+    each partition merges its sides on (key, bucket) and filters the exact
+    range — all vectorized C kernels.
 
     Partitioning assumption (documented per the prompt): interval length is
     bounded — replication factor per left row is ``span/bucket_width + 1``,
     capped at ``max_span_buckets`` (longer intervals raise, telling the
     caller to grow ``bucket_width``). Skewed (key, bucket) pairs land in one
-    partition; raise ``num_parts`` or shrink ``bucket_width`` for hot keys.
+    partition; shrink ``bucket_width`` for hot keys.
 
     Column contract mirrors :func:`bucketed_hash_join`: non-key columns must
     not overlap across sides; output = [key?] + left cols + right cols.
     ``left_schema``/``right_schema`` skip the hidden limit-1 ``ds.schema()``
     jobs on transformed inputs."""
-    from .dedup import coarse_parts
-    num_parts = coarse_parts(num_parts)
+    from .fold import partition_fold
     w = int(bucket_width)
     lschema = (left_schema if left_schema is not None
                else left.schema().base_schema)
@@ -334,17 +332,9 @@ def bucketed_range_join(left, right, *, lo_col: str, hi_col: str,
     fields += [pa.field(n, rschema.field(n).type) for n in rcols]
     out_schema = pa.schema(fields)
     target = pa.schema(list(out_schema) + [pa.field("__bucket", pa.int64()),
-                                           pa.field("__side", pa.int8()),
-                                           pa.field("__part", pa.int64())])
+                                           pa.field("__side", pa.int8())])
 
-    def _part(kv: np.ndarray | None, bucket: np.ndarray) -> np.ndarray:
-        h = pd.util.hash_array(np.ascontiguousarray(bucket))
-        if kv is not None:
-            h = h * np.uint64(0x9E3779B97F4A7C15) + pd.util.hash_array(
-                np.ascontiguousarray(kv))
-        return (h % np.uint64(num_parts)).astype(np.int64)
-
-    def _aligned(batch: pa.Table, n: int, bucket, side, part,
+    def _aligned(batch: pa.Table, n: int, bucket, side,
                  take: np.ndarray | None) -> pa.Table:
         cols = []
         for field in target:
@@ -352,8 +342,6 @@ def bucketed_range_join(left, right, *, lo_col: str, hi_col: str,
                 cols.append(pa.array(bucket, type=pa.int64()))
             elif field.name == "__side":
                 cols.append(pa.array(np.full(n, side, np.int8)))
-            elif field.name == "__part":
-                cols.append(pa.array(part, type=pa.int64()))
             elif field.name in batch.column_names:
                 col = batch[field.name].cast(field.type)
                 cols.append(col.take(pa.array(take)) if take is not None
@@ -377,23 +365,16 @@ def bucketed_range_join(left, right, *, lo_col: str, hi_col: str,
         # bucket of each replica: b0[i] + offset within the row's span
         off = np.arange(idx.size, dtype=np.int64) - np.repeat(
             np.cumsum(span) - span, span)
-        bucket = b0[idx] + off
-        kv = (batch[key].to_numpy(zero_copy_only=False)[idx]
-              if key else None)
-        return _aligned(batch, idx.size, bucket, 0,
-                        _part(kv, bucket), idx)
+        return _aligned(batch, idx.size, b0[idx] + off, 0, idx)
 
     def tag_right(batch: pa.Table) -> pa.Table:
         p = batch[point_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        bucket = p // w
-        kv = batch[key].to_numpy(zero_copy_only=False) if key else None
-        return _aligned(batch, p.size, bucket, 1, _part(kv, bucket), None)
+        return _aligned(batch, p.size, p // w, 1, None)
 
     expand_left.__name__ = "range_expand_left"
     tag_right.__name__ = "range_tag_right"
     lds = left.map_batches(expand_left, batch_format="pyarrow")
     rds = right.map_batches(tag_right, batch_format="pyarrow")
-    both = lds.union(rds)
 
     on = keys + ["__bucket"]
 
@@ -411,8 +392,7 @@ def bucketed_range_join(left, right, *, lo_col: str, hi_col: str,
         return pa.Table.from_arrays(cols, schema=out_schema)
 
     join_part.__name__ = "range_join_part"
-    return both.groupby("__part").map_groups(join_part,
-                                             batch_format="pyarrow")
+    return partition_fold([lds, rds], on, join_part, batch_format="pyarrow")
 
 
 def _bloom_positions(keys: np.ndarray, m_bits: int,
@@ -420,7 +400,7 @@ def _bloom_positions(keys: np.ndarray, m_bits: int,
     """(k_hashes, n) bit positions via double hashing: two mix64 streams
     h1 + j·h2 mod m (h2 forced odd) — the standard Kirsch–Mitzenmacher
     construction, deterministic across processes."""
-    from .dedup import _mix64
+    from .fold import _mix64
     u = keys.astype(np.uint64)
     h1 = _mix64(u)
     h2 = _mix64(u ^ np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)

@@ -53,28 +53,23 @@ def topk_per_group(ds, group_cols, order_col: str, k: int,
     Equivalent SQL: ``row_number() OVER (PARTITION BY group ORDER BY
     order_col [DESC], tie_cols) <= k``.
     """
-    from lucene_msmarco_ray.ops.dedup import coarse_parts
+    from lucene_msmarco_ray.ops.fold import PART_COL, partition_fold
 
     group_cols = list(group_cols)
     tie_cols = list(tie_cols or [])
     by = [order_col] + tie_cols
     asc = [not descending] + [True] * len(tie_cols)
-    num_parts = coarse_parts()
 
-    # Final reduce groups by a COARSE hash partition, not per group: one
+    # Final reduce is a coarse partition fold, not per group: one
     # vectorized pandas groupby-head per partition instead of one Python
-    # call per group (15k tiny groups → num_parts calls; measured 12.5 s
-    # → ~1 s on the sf0.1 gate).
+    # call per group (15k tiny groups → one call per partition; measured
+    # 12.5 s → ~1 s on the sf0.1 gate).
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         df = df.sort_values(by, ascending=asc, kind="mergesort")
-        out = df.groupby(group_cols, sort=False).head(k).copy()
-        out["__part"] = (pd.util.hash_pandas_object(
-            out[group_cols], index=False).to_numpy()
-            % np.uint64(num_parts)).astype(np.int64)
-        return pa.Table.from_pandas(
-            out, schema=batch.schema.append(pa.field("__part", pa.int64())),
-            preserve_index=False)
+        out = df.groupby(group_cols, sort=False).head(k)
+        return pa.Table.from_pandas(out, schema=batch.schema,
+                                    preserve_index=False)
 
     def final_part(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(group_cols + by,
@@ -83,11 +78,10 @@ def topk_per_group(ds, group_cols, order_col: str, k: int,
         out = df.groupby(group_cols, sort=False).head(k).copy()
         out["rank"] = (out.groupby(group_cols, sort=False).cumcount()
                        + 1).astype(np.int64)
-        return out.drop(columns="__part").reset_index(drop=True)
+        return out.drop(columns=PART_COL).reset_index(drop=True)
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(final_part, batch_format="pandas"))
+    return partition_fold(ds.map_batches(partial, batch_format="pyarrow"),
+                          group_cols, final_part)
 
 
 def group_distinct_count(ds, group_cols, value_col: str,
@@ -312,9 +306,9 @@ def pack_sequences(ds, id_col: str, size_col: str, budget: int,
 
     → (id_col, size_col, start_off, bin_id).
     """
-    from lucene_msmarco_ray.ops.dedup import coarse_parts
+    from lucene_msmarco_ray.ops import fold
 
-    P = coarse_parts(num_parts)
+    P = int(num_parts) if num_parts is not None else fold.coarse_parts()
 
     def keyed(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)

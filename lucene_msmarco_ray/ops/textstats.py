@@ -302,22 +302,6 @@ def _explode_pairs(id_col: str, text_col: str):
     return f
 
 
-def _unigram_micro(ds, text_col: str):
-    """Train a unigram LM over ``ds`` → (terms, micro-nat log-probs,
-    oov micro-nats) as DRIVER arrays for the broadcast path. The reduced
-    (term, cf) table is the only materialized object — bounded by
-    vocabulary, never the token stream. micro =
-    int64(floor(ln(cf/T)·1e6+0.5)); OOV = ln(0.5/T)."""
-    counts, _n = _unigram_counts_ds(ds, text_col)
-    vocab = counts.to_pandas()
-    cf = vocab["c"].to_numpy(np.float64)
-    total = float(cf.sum())
-    micro = np.floor(np.log(cf / total) * 1e6 + 0.5).astype(np.int64)
-    terms = vocab["term"].to_numpy(dtype=object)
-    oov_micro = int(np.floor(np.log(0.5 / total) * 1e6 + 0.5))
-    return terms, micro, oov_micro
-
-
 class _LmScoreStage:
     """Scores batches against a broadcast unigram LM: the hash index over
     the vocabulary builds ONCE per actor (``__init__``), not per batch."""

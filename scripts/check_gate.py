@@ -36,6 +36,8 @@ def canon(df):
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    # one line per gate as it finishes, also when stdout is a pipe
+    sys.stdout.reconfigure(line_buffering=True)
     import time
 
     import duckdb

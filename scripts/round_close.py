@@ -43,6 +43,11 @@ def main():
     for line in fails:
         print(line)
     print(f"gates: {oks} ok, {len(fails)} fail at {sf_dir}")
+    # every gate line ends in its wall time, e.g. "[OK] name: ... (1.2s)"
+    gate_seconds = {
+        name: float(sec) for name, sec in re.findall(
+            r"^\[(?:OK|rows-only|FAIL)\] (\S+?):.*\((\d+(?:\.\d+)?)s\)$",
+            out_g, re.M)}
 
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO,
                           capture_output=True, text=True).stdout.strip()
@@ -56,6 +61,7 @@ def main():
         "tests_failed": failed,
         "gates_ok": oks,
         "gates_fail": len(fails),
+        "gate_seconds": gate_seconds,
         "sf_dir": sf_dir,
         "green": rc_t == 0 and rc_g == 0 and failed == 0 and not fails,
     }

@@ -195,10 +195,13 @@ def test_pmi_collocations_golden(ray_session):
     assert list(out["pmi"]) == [exp, exp]
 
 
-def test_duplicate_spans(ray_session):
+def test_duplicate_spans(ray_session, monkeypatch):
     import ray.data as rd
 
+    from lucene_msmarco_ray.ops import fold
     from lucene_msmarco_ray.ops.dedup import duplicate_spans
+
+    monkeypatch.setattr(fold, "coarse_parts", lambda: 8)
 
     # doc 0/1 share "a b c d"; doc 2 is unique; doc 3 too short; doc 4
     # repeats the shared span inside itself (distinct-per-doc: counts once)
@@ -208,7 +211,7 @@ def test_duplicate_spans(ray_session):
             {"doc_id": 3, "text": "a b c"},
             {"doc_id": 4, "text": "a b c d a b c d"}]
     got = [duplicate_spans(rd.from_items(docs, override_num_blocks=nb),
-                           w=4, num_parts=8).to_pandas()
+                           w=4).to_pandas()
            .sort_values("doc_id").reset_index(drop=True) for nb in (1, 5)]
     assert got[0].equals(got[1])          # parallelism-invariant
 

@@ -261,13 +261,14 @@ def test_bucketed_range_join(ray_session):
                             max_span_buckets=2).to_pandas()
 
 
-def test_new_ops_partition_invariance(ray_session):
+def test_new_ops_partition_invariance(ray_session, monkeypatch):
     """Output is independent of the coarse partition count (physical knob
-    only) — the property that makes num_parts safe to scale with the
-    cluster."""
+    only) — the property that makes ``fold.coarse_parts`` safe to scale
+    with the cluster."""
     import pandas as pd
     import ray.data as rd
 
+    from lucene_msmarco_ray.ops import fold
     from lucene_msmarco_ray.ops.events import sessionize_chunked
     rng = np.random.default_rng(7)
     rows = []
@@ -280,9 +281,9 @@ def test_new_ops_partition_invariance(ray_session):
             "total_value"]
     outs = []
     for nparts in (3, 64):
+        monkeypatch.setattr(fold, "coarse_parts", lambda n=nparts: n)
         outs.append(sessionize_chunked(ds, gap_seconds=1800,
-                                       chunk_seconds=3600,
-                                       num_parts=nparts)
+                                       chunk_seconds=3600)
                     .to_pandas()[cols].sort_values(cols)
                     .reset_index(drop=True))
     pd.testing.assert_frame_equal(outs[0], outs[1])

@@ -109,13 +109,16 @@ def test_bigram_ppl_two_level_parity(ray_session):
     assert sorted(f["doc_id"]) == list(range(len(CORPUS)))
 
 
-def test_lookup_micro_contract(ray_session):
+def test_lookup_micro_contract(ray_session, monkeypatch):
     """Direct lookup_micro check: rider columns (string + int64)
-    survive untouched, misses get default_micro, vocab-only buckets
-    emit nothing, and a key landing in every bucket still resolves."""
+    survive untouched, misses get default_micro, vocab-only partitions
+    emit nothing, and a key landing in every partition still resolves."""
     import ray.data as rd
 
+    from lucene_msmarco_ray.ops import fold
     from lucene_msmarco_ray.ops.vocab_join import lookup_micro
+
+    monkeypatch.setattr(fold, "coarse_parts", lambda: 7)
 
     rows = rd.from_items([
         {"k": f"t{i}", "tag": f"r{i}", "val": i} for i in range(40)
@@ -123,14 +126,32 @@ def test_lookup_micro_contract(ray_session):
     vocab = rd.from_items(
         [{"key": f"t{i}", "micro": 10 * i} for i in range(40)]
         + [{"key": "unreferenced", "micro": 999}])
-    out = (lookup_micro(rows, "k", vocab, out_col="m", default_micro=-5,
-                        num_buckets=7)
+    out = (lookup_micro(rows, "k", vocab, out_col="m", default_micro=-5)
            .to_pandas().sort_values("val").reset_index(drop=True))
     assert len(out) == 41
     assert out.loc[0, "m"] == -5 and out.loc[0, "tag"] == "m"
     got = out[out["val"] >= 0]
     assert got["m"].tolist() == [10 * i for i in range(40)]
     assert got["tag"].tolist() == [f"r{i}" for i in range(40)]
+
+
+def test_chained_lookup_micro_vocab_only_partitions(ray_session):
+    """A lookup whose rows miss most partitions (vocab-only partitions)
+    still emits its declared column types, so a second lookup_micro can
+    infer its rows schema from the first one's output."""
+    import ray.data as rd
+
+    from lucene_msmarco_ray.ops.vocab_join import lookup_micro
+
+    rows = rd.from_items([{"w1": "a", "w2": "b", "tag": "r", "val": 1}])
+    vocab = rd.from_items(
+        [{"key": f"t{i}", "micro": i} for i in range(40)]
+        + [{"key": "a", "micro": 7}, {"key": "b", "micro": 9}],
+        override_num_blocks=4)
+    first = lookup_micro(rows, "w1", vocab, out_col="m1")
+    out = lookup_micro(first, "w2", vocab, out_col="m2").to_pandas()
+    assert out[["w1", "w2", "tag", "val", "m1", "m2"]].values.tolist() == \
+        [["a", "b", "r", 1, 7, 9]]
 
 
 def test_tfidf_keywords_fallback_parity(ray_session):
