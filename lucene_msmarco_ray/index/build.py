@@ -36,8 +36,10 @@ from zlib import crc32
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from ..config import EngineConfig
@@ -98,20 +100,6 @@ def rows_to_segment_table(terms: list[str], shards: np.ndarray,
         _list_array([t.b_doc_off for t in tps], pa.int64()),
         _list_array([t.b_tf_off for t in tps], pa.int64()),
     ], schema=SEGMENT_SCHEMA)
-
-
-def term_postings_from_row(row: dict) -> TermPostings:
-    return TermPostings(
-        df=int(row["df"]), cf=int(row["cf"]),
-        doc_bytes=row["doc_bytes"], tf_bytes=row["tf_bytes"],
-        b_count=np.asarray(row["b_count"], np.int32),
-        b_first=np.asarray(row["b_first"], np.int64),
-        b_last=np.asarray(row["b_last"], np.int64),
-        b_max_tf=np.asarray(row["b_max_tf"], np.int32),
-        b_min_dl=np.asarray(row["b_min_dl"], np.int32),
-        b_doc_off=np.asarray(row["b_doc_off"], np.int64),
-        b_tf_off=np.asarray(row["b_tf_off"], np.int64),
-    )
 
 
 def _large_binary_slices(data: bytes, offsets: np.ndarray) -> pa.Array:
@@ -315,35 +303,33 @@ def stage_tokenize_partition(out_dir: str, man: Manifest, pid: str, ds,
     return True
 
 
+@ray.remote
+def _distinct_terms(d: str) -> int:
+    return pc.count_distinct(
+        pads.dataset(d).to_table(columns=["term"])["term"]).as_py()
+
+
+def distinct_terms_per_dir(dirs: list[str]) -> list[int]:
+    """Distinct terms of each segment directory: one plain task per dir
+    that scans ONLY the term column, so one task's memory is that dir's
+    vocab slice. Shared by :func:`count_distinct_terms` (shard dirs) and
+    ``compact.fragmentation`` ((shard, salt) dirs)."""
+    return ray.get([_distinct_terms.remote(d) for d in dirs])
+
+
 def count_distinct_terms(seg_dir: str, multi_run: bool) -> int:
     """Vocabulary size of an index's segment tree. ``multi_run=False`` may
     use footer row counts (one segment row per term); otherwise distinct
-    terms are counted per shard in parallel — terms never cross shards, so
-    one task's memory is its shard's vocab slice (at extreme vocab sizes
-    swap in a sketch)."""
+    terms are counted per shard — terms never cross shards (at extreme
+    vocab sizes swap in a sketch)."""
     if not multi_run:
         return sum(
             pq.read_metadata(os.path.join(root, f)).num_rows
             for root, _, fs in os.walk(seg_dir) for f in fs
             if f.endswith(".parquet"))
-    shard_dirs = sorted(
+    return sum(distinct_terms_per_dir(sorted(
         os.path.join(seg_dir, e) for e in os.listdir(seg_dir)
-        if e.startswith("shard="))
-
-    def _distinct_terms(b: pd.DataFrame) -> pd.DataFrame:
-        import pyarrow.compute as _pc
-        n = sum(
-            _pc.count_distinct(
-                pads.dataset(d).to_table(columns=["term"])["term"]
-            ).as_py() for d in b["dir"])
-        return pd.DataFrame({"n": [n]})
-
-    parts = rd.from_items(
-        [{"dir": d} for d in shard_dirs],
-        override_num_blocks=max(1, len(shard_dirs))) \
-        .map_batches(_distinct_terms, batch_format="pandas",
-                     batch_size=1).to_pandas()
-    return int(parts["n"].sum())
+        if e.startswith("shard="))))
 
 
 def build_index(

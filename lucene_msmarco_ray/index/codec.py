@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 
 
 def varbyte_encode(values: np.ndarray) -> bytes:
@@ -277,6 +278,52 @@ def concat_runs(runs: list[TermPostings]) -> TermPostings:
         b_doc_off=np.concatenate(parts_d),
         b_tf_off=np.concatenate(parts_t),
     )
+
+
+def segment_runs(tbl: pa.Table) -> dict[str, list[TermPostings]]:
+    """Segment rows → term → its posting runs, in row order. Columnar:
+    flat numpy views over the Arrow buffers, one slice per row instead of
+    per-row ``to_pylist`` dicts (the dict path measured 2x the whole
+    preload cost on a salted 2M-doc index). The one decoder of the
+    segment-row format; the reader and compaction both call it."""
+    if tbl.num_rows == 0:
+        return {}
+    tbl = tbl.combine_chunks()
+    terms = tbl["term"].to_pylist()
+    dfs = tbl["df"].to_numpy()
+    cfs = tbl["cf"].to_numpy()
+
+    def _bin_views(name: str):
+        arr = tbl[name].chunk(0)
+        off = arr.buffers()[1]
+        offsets = np.frombuffer(off, dtype=np.int64, count=len(arr) + 1,
+                                offset=arr.offset * 8)
+        return offsets, memoryview(arr.buffers()[2])
+
+    d_off, d_data = _bin_views("doc_bytes")
+    t_off, t_data = _bin_views("tf_bytes")
+
+    def _list_views(name: str, dtype):
+        arr = tbl[name].chunk(0)
+        values = arr.values.to_numpy(zero_copy_only=False).astype(
+            dtype, copy=False)
+        return arr.offsets.to_numpy(), values
+
+    lists = {n: _list_views(n, t) for n, t in (
+        ("b_count", np.int32), ("b_first", np.int64),
+        ("b_last", np.int64), ("b_max_tf", np.int32),
+        ("b_min_dl", np.int32), ("b_doc_off", np.int64),
+        ("b_tf_off", np.int64))}
+
+    by_term: dict[str, list[TermPostings]] = {}
+    for i, term in enumerate(terms):
+        by_term.setdefault(term, []).append(TermPostings(
+            df=int(dfs[i]), cf=int(cfs[i]),
+            doc_bytes=d_data[d_off[i]:d_off[i + 1]],
+            tf_bytes=t_data[t_off[i]:t_off[i + 1]],
+            **{n: vals[offs[i]:offs[i + 1]]
+               for n, (offs, vals) in lists.items()}))
+    return by_term
 
 
 def decode_all(tp: TermPostings) -> tuple[np.ndarray, np.ndarray]:

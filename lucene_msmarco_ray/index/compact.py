@@ -13,8 +13,13 @@ included. The (shard, salt) directory layout is PRESERVED: doc-sharded
 search topology, stats, and future appends are unaffected, and a later
 compaction folds those appends again.
 
-Scale shape: one independent Ray task per (shard, salt) directory — no
-exchange at all; the merge is embarrassingly parallel over the same
+Cost model: one plain ``ray.remote`` task per (shard, salt) directory —
+no Ray Data plan, no actor pool, no exchange. Each task reads its
+directory, decodes it with ``codec.segment_runs`` (the reader's columnar
+decoder), concatenates each term's runs and writes ONE file under the
+same ``shard=S/salt=K`` path, returning (rows in, rows out) so
+:func:`compact_index` never re-scans the tree. The cost is the per-directory work plus one task
+dispatch each; the merge is embarrassingly parallel over the same
 partitioning the build chose. Crash safety: the new tree is fully
 written to ``segments.compact.tmp`` first, the live tree is moved to
 ``segments.pre-compact``, the new tree renamed in, then the backup
@@ -33,12 +38,12 @@ import os
 import shutil
 
 import numpy as np
-import pandas as pd
-import pyarrow as pa
 import pyarrow.dataset as pads
-import ray.data as rd
+import pyarrow.parquet as pq
+import ray
 
-from .codec import concat_runs
+from .build import distinct_terms_per_dir, rows_to_segment_table
+from .codec import concat_runs, segment_runs
 from .manifest import Manifest
 
 
@@ -100,13 +105,10 @@ def fragmentation(seg_dir: str) -> tuple[int, int]:
     """(segment rows, distinct (term, shard, salt) rows) — the exact
     fold compaction would perform. Rows come from Parquet footers
     (metadata only); distinct counts scan ONLY the term column, one
-    parallel task per (shard, salt) dir, so the cost is O(vocab · runs)
+    task per (shard, salt) dir, so the cost is O(vocab · runs)
     like the vocab recount every append already pays — never O(corpus).
     ``rows / unique`` is the mean posting-run count per term the reader
     must concat lazily: the auto-compaction trigger ratio."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
     dirs = []
     rows = 0
     for root, _, fs in os.walk(seg_dir):
@@ -114,43 +116,28 @@ def fragmentation(seg_dir: str) -> tuple[int, int]:
         if pfs:
             dirs.append(root)
             rows += sum(pq.read_metadata(p).num_rows for p in pfs)
-    if not dirs:
-        return 0, 0
-
-    def _distinct(b: pd.DataFrame) -> pd.DataFrame:
-        n = sum(
-            pc.count_distinct(
-                pads.dataset(d).to_table(columns=["term"])["term"]).as_py()
-            for d in b["dir"])
-        return pd.DataFrame({"n": [n]})
-
-    parts = rd.from_items([{"dir": d} for d in dirs],
-                          override_num_blocks=max(1, len(dirs))) \
-        .map_batches(_distinct, batch_size=1, batch_format="pandas")
-    unique = sum(r["n"] for r in parts.take_all())
-    return int(rows), int(unique)
+    return rows, sum(distinct_terms_per_dir(dirs))
 
 
-class _CompactDirTask:
-    """Merge every term's runs within one (shard, salt) directory into a
-    single segment row. Batch = one plan row ({dir, shard, salt})."""
-
-    def __call__(self, batch: pd.DataFrame) -> pa.Table:
-        from .build import (
-            rows_to_segment_table,
-            term_postings_from_row,
-        )
-        row = batch.iloc[0]
-        tbl = pads.dataset(row["dir"]).to_table()
-        by_term: dict[str, list] = {}
-        for r in tbl.to_pylist():
-            by_term.setdefault(r["term"], []).append(
-                term_postings_from_row(r))
-        terms = sorted(by_term)
-        tps = [concat_runs(by_term[t]) for t in terms]
-        return rows_to_segment_table(
-            terms, np.full(len(terms), int(row["shard"]), np.int32), tps,
-            salts=np.full(len(terms), int(row["salt"]), np.int32))
+@ray.remote
+def _compact_dir(seg_dir: str, tmp: str, sh: str, sa: str
+                 ) -> tuple[int, int]:
+    """Merge every term's runs within one ``shard=S/salt=K`` directory
+    into a single segment row, written as one file under the same path
+    in ``tmp``. Returns (rows in, rows out)."""
+    tbl = pads.dataset(os.path.join(seg_dir, sh, sa)).to_table()
+    by_term = segment_runs(tbl)
+    terms = sorted(by_term)
+    tps = [concat_runs(by_term[t]) for t in terms]
+    n = len(terms)
+    # the hive path carries shard and salt; the file holds neither
+    out = rows_to_segment_table(
+        terms, np.full(n, int(sh.split("=", 1)[1]), np.int32), tps,
+        salts=np.full(n, int(sa.split("=", 1)[1]), np.int32)) \
+        .drop(["shard", "salt"])
+    os.makedirs(os.path.join(tmp, sh, sa), exist_ok=True)
+    pq.write_table(out, os.path.join(tmp, sh, sa, "compacted.parquet"))
+    return tbl.num_rows, n
 
 
 def compact_index(index_dir: str) -> dict:
@@ -163,28 +150,19 @@ def compact_index(index_dir: str) -> dict:
         raise ValueError(f"{index_dir} is not a completed index build")
     seg_dir = os.path.join(index_dir, "segments")
 
-    plan = []
-    rows_before = 0
-    for sh in sorted(os.listdir(seg_dir)):
-        if not sh.startswith("shard="):
-            continue
-        for sa in sorted(os.listdir(os.path.join(seg_dir, sh))):
-            if not sa.startswith("salt="):
-                continue
-            d = os.path.join(seg_dir, sh, sa)
-            plan.append({"dir": d,
-                         "shard": int(sh.split("=", 1)[1]),
-                         "salt": int(sa.split("=", 1)[1])})
-            rows_before += pads.dataset(d).count_rows()
+    plan = [(sh, sa)
+            for sh in sorted(os.listdir(seg_dir)) if sh.startswith("shard=")
+            for sa in sorted(os.listdir(os.path.join(seg_dir, sh)))
+            if sa.startswith("salt=")]
     if not plan:
         return {"dirs": 0, "rows_before": 0, "rows_after": 0}
 
     tmp = seg_dir + ".compact.tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    runs = rd.from_items(plan, override_num_blocks=len(plan)) \
-        .map_batches(_CompactDirTask, batch_size=1, batch_format="pandas",
-                     concurrency=(1, 16))
-    runs.write_parquet(tmp, partition_cols=["shard", "salt"])
+    counts = ray.get([_compact_dir.remote(seg_dir, tmp, sh, sa)
+                      for sh, sa in plan])
+    rows_before = sum(c[0] for c in counts)
+    rows_after = sum(c[1] for c in counts)
 
     bak = seg_dir + ".pre-compact"
     shutil.rmtree(bak, ignore_errors=True)
@@ -198,17 +176,14 @@ def compact_index(index_dir: str) -> dict:
     os.remove(_sentinel_path(index_dir))
     shutil.rmtree(bak, ignore_errors=True)
 
-    rows_after = pads.dataset(seg_dir).count_rows()
-    man.data.setdefault("compactions", []).append(
-        {"dirs": len(plan), "rows_before": int(rows_before),
-         "rows_after": int(rows_after)})
+    summary = {"dirs": len(plan), "rows_before": rows_before,
+               "rows_after": rows_after}
+    man.data.setdefault("compactions", []).append(dict(summary))
     man.save()
-    summary = {"dirs": len(plan), "rows_before": int(rows_before),
-               "rows_after": int(rows_after)}
     stats_path = os.path.join(index_dir, "stats.json")
     with open(stats_path) as f:
         stats = json.load(f)
-    stats["segment_rows"] = int(rows_after)
+    stats["segment_rows"] = rows_after
     with open(stats_path, "w") as f:
         json.dump(stats, f, indent=1)
     return summary

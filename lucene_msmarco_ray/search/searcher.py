@@ -31,7 +31,7 @@ import pyarrow.dataset as pads
 
 from ..analysis import get_analyzer
 from ..index.build import pads_dirs, term_shard
-from ..index.codec import TermPostings, concat_runs, decode_all
+from ..index.codec import TermPostings, concat_runs, decode_all, segment_runs
 from .scoring import make_scorer
 
 RUN_SCHEMA = pa.schema([
@@ -115,54 +115,7 @@ class IndexReader:
         return os.path.join(self.index_dir, "segments", f"shard={shard}")
 
     def _rows_to_cache(self, tbl: pa.Table) -> None:
-        """Columnar: flat numpy views over the Arrow buffers — one slice per
-        row instead of per-row to_pylist dicts (the dict path measured 2x
-        the whole preload cost on a salted 2M-doc index)."""
-        if tbl.num_rows == 0:
-            return
-        tbl = tbl.combine_chunks()
-        terms = tbl["term"].to_pylist()
-        dfs = tbl["df"].to_numpy()
-        cfs = tbl["cf"].to_numpy()
-
-        def _bin_views(name: str):
-            arr = tbl[name].chunk(0)
-            off = arr.buffers()[1]
-            offsets = np.frombuffer(off, dtype=np.int64,
-                                    count=len(arr) + 1,
-                                    offset=arr.offset * 8)
-            data = memoryview(arr.buffers()[2])
-            return offsets, data
-
-        d_off, d_data = _bin_views("doc_bytes")
-        t_off, t_data = _bin_views("tf_bytes")
-
-        def _list_views(name: str, dtype):
-            arr = tbl[name].chunk(0)
-            offsets = arr.offsets.to_numpy()
-            values = arr.values.to_numpy(zero_copy_only=False).astype(
-                dtype, copy=False)
-            return offsets, values
-
-        lists = {n: _list_views(n, t) for n, t in (
-            ("b_count", np.int32), ("b_first", np.int64),
-            ("b_last", np.int64), ("b_max_tf", np.int32),
-            ("b_min_dl", np.int32), ("b_doc_off", np.int64),
-            ("b_tf_off", np.int64))}
-
-        def _row_tp(i: int) -> TermPostings:
-            kw = {}
-            for n, (offs, vals) in lists.items():
-                kw[n] = vals[offs[i]:offs[i + 1]]
-            return TermPostings(
-                df=int(dfs[i]), cf=int(cfs[i]),
-                doc_bytes=d_data[d_off[i]:d_off[i + 1]],
-                tf_bytes=t_data[t_off[i]:t_off[i + 1]], **kw)
-
-        by_term: dict[str, list[TermPostings]] = {}
-        for i, term in enumerate(terms):
-            by_term.setdefault(term, []).append(_row_tp(i))
-        for term, runs in by_term.items():
+        for term, runs in segment_runs(tbl).items():
             self._cache[term] = concat_runs(runs)
 
     def _preload_all(self) -> None:
@@ -249,25 +202,24 @@ class IndexReader:
         partitions of the build-time forward index (``fwd/bucket=<doc//B>``)
         holding the requested ids, with a doc_id predicate for row-group
         pruning inside each bucket — cost is O(buckets touched), independent
-        of corpus size. Falls back to a staged-postings scan for indexes
-        built before the fwd stage existed (legacy; full-scan cost)."""
+        of corpus size."""
         ids = sorted(set(int(d) for d in doc_ids))
         if not ids:
             return {}
         from ..index.build import fwd_bucket_dirs, pads_dirs
-        bucket_docs = int(self.stats.get("fwd_bucket_docs", 0))
+        bucket_docs = self.stats.get("fwd_bucket_docs")
+        if not bucket_docs:
+            raise RuntimeError(
+                f"index {self.index_dir} has no forward index (stats.json "
+                "lacks fwd_bucket_docs: built before the forward-index "
+                "stage) — term-vector / feedback operators need one; "
+                "rebuild the index")
         if not hasattr(self, "_fwd_dirs"):
-            self._fwd_dirs = fwd_bucket_dirs(self.index_dir) \
-                if bucket_docs else {}
-        if self._fwd_dirs:
-            dirs = [d for b in sorted({i // bucket_docs for i in ids})
-                    for d in self._fwd_dirs.get(b, ())]
-            if not dirs:
-                return {i: {} for i in ids}
-        else:                                    # legacy pre-fwd index
-            base = os.path.join(self.index_dir, "staged")
-            dirs = sorted(os.path.join(base, p, "kind=p")
-                          for p in os.listdir(base) if p.startswith("part="))
+            self._fwd_dirs = fwd_bucket_dirs(self.index_dir)
+        dirs = [d for b in sorted({i // bucket_docs for i in ids})
+                for d in self._fwd_dirs.get(b, ())]
+        if not dirs:
+            return {i: {} for i in ids}
         tbl = pads_dirs(dirs).to_table(
             columns=["term", "doc_id", "tf"],
             filter=pc.field("doc_id").isin(ids))

@@ -9,9 +9,12 @@ import numpy as np
 import pyarrow.dataset as pads
 import pytest
 
+from test_codec import assert_same_postings, term_postings_from_row
+
 from lucene_msmarco_ray.config import EngineConfig
 from lucene_msmarco_ray.index.append import append_documents
 from lucene_msmarco_ray.index.build import build_index
+from lucene_msmarco_ray.index.codec import concat_runs
 from lucene_msmarco_ray.search.scoring import BM25Scorer
 from lucene_msmarco_ray.search.searcher import IndexReader, score_query_taat
 from lucene_msmarco_ray.sources.corpus import read_code_corpus
@@ -264,9 +267,22 @@ def test_compact_after_appends_is_bit_identical(ray_session,
                     for r in tbl.to_pylist()})
     assert n_rows_before > n_unique          # fragmentation actually exists
 
+    pre_rows = pads.dataset(seg, partitioning="hive").to_table()
     summary = compact_index(idx)
     assert summary["rows_before"] == n_rows_before
     assert summary["rows_after"] == n_unique
+    # row level: each (term, shard, salt) row is the concat of its runs
+    post = pads.dataset(seg, partitioning="hive").to_table()
+    assert post.schema.equals(pre_rows.schema)
+    want: dict[tuple, list] = {}
+    for r in pre_rows.to_pylist():
+        want.setdefault((r["term"], r["shard"], r["salt"]), []).append(
+            term_postings_from_row(r))
+    got = {(r["term"], r["shard"], r["salt"]): term_postings_from_row(r)
+           for r in post.to_pylist()}
+    assert len(got) == post.num_rows and set(got) == set(want)
+    for key, parts in want.items():
+        assert_same_postings(got[key], concat_runs(parts))
     after = runs(IndexReader(idx, preload=True))
     for (ib, sb), (ia, sa) in zip(before, after):
         assert list(ib) == list(ia) and list(sb) == list(sa)
@@ -298,6 +314,47 @@ def test_compact_after_appends_is_bit_identical(ray_session,
     st = json.load(open(os.path.join(idx, "stats.json")))
     assert st["num_docs"] == 500
     assert runs(IndexReader(idx, preload=True))  # still searchable
+
+
+def test_compact_failure_leaves_segments_untouched(corpora, tmp_path):
+    """A dir task that fails (one corrupt parquet file) makes compaction
+    raise before the swap: ``segments/`` keeps every file byte for byte,
+    no sentinel is left, and once the file is restored it compacts."""
+    import shutil
+
+    import pyarrow as pa
+
+    from lucene_msmarco_ray.index.compact import (
+        _sentinel_path,
+        compact_index,
+        fragmentation,
+    )
+    _, _, app_dir, _ = corpora
+    idx = str(tmp_path / "idx")
+    shutil.copytree(app_dir, idx)
+    seg = os.path.join(idx, "segments")
+
+    def snapshot():
+        return {os.path.relpath(os.path.join(r, f), seg):
+                open(os.path.join(r, f), "rb").read()
+                for r, _, fs in os.walk(seg) for f in fs}
+
+    salt_dir = next(r for r, _, fs in sorted(os.walk(seg))
+                    if "salt=" in r and fs)
+    victim = os.path.join(salt_dir, sorted(os.listdir(salt_dir))[0])
+    good = open(victim, "rb").read()
+    open(victim, "wb").write(b"not a parquet file" * 8)
+    before = snapshot()
+    with pytest.raises(pa.ArrowInvalid):
+        compact_index(idx)
+    assert snapshot() == before
+    assert not os.path.exists(_sentinel_path(idx))
+    assert not os.path.exists(seg + ".pre-compact")
+
+    open(victim, "wb").write(good)
+    rows, unique = fragmentation(seg)
+    summary = compact_index(idx)
+    assert (summary["rows_before"], summary["rows_after"]) == (rows, unique)
 
 
 def test_compact_sentinel_blocks_reader_mid_swap(ray_session,

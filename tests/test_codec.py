@@ -4,13 +4,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucene_msmarco_ray.index.codec import (
+    TermPostings,
     concat_runs,
     decode_all,
     decode_block,
     encode_term_postings,
+    segment_runs,
     varbyte_decode,
     varbyte_encode,
 )
+
+
+def term_postings_from_row(row: dict) -> TermPostings:
+    """Oracle decoder of one segment row from its ``to_pylist`` dict."""
+    return TermPostings(
+        df=int(row["df"]), cf=int(row["cf"]),
+        doc_bytes=row["doc_bytes"], tf_bytes=row["tf_bytes"],
+        b_count=np.asarray(row["b_count"], np.int32),
+        b_first=np.asarray(row["b_first"], np.int64),
+        b_last=np.asarray(row["b_last"], np.int64),
+        b_max_tf=np.asarray(row["b_max_tf"], np.int32),
+        b_min_dl=np.asarray(row["b_min_dl"], np.int32),
+        b_doc_off=np.asarray(row["b_doc_off"], np.int64),
+        b_tf_off=np.asarray(row["b_tf_off"], np.int64),
+    )
+
+
+def assert_same_postings(a: TermPostings, b: TermPostings) -> None:
+    assert (a.df, a.cf) == (b.df, b.cf)
+    assert bytes(a.doc_bytes) == bytes(b.doc_bytes)
+    assert bytes(a.tf_bytes) == bytes(b.tf_bytes)
+    for f in ("b_count", "b_first", "b_last", "b_max_tf", "b_min_dl",
+              "b_doc_off", "b_tf_off"):
+        x, y = getattr(a, f), getattr(b, f)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**56 - 1), max_size=300))
@@ -115,3 +142,39 @@ def test_group_encoder_matches_per_term():
     assert gt.schema.equals(rt.schema)
     for col in gt.column_names:
         assert gt[col].combine_chunks().equals(rt[col].combine_chunks()), col
+
+
+def test_segment_runs_matches_row_decode():
+    """The columnar decoder equals the per-row dict decode on a segment
+    table where terms have several runs, across chunk boundaries."""
+    import pyarrow as pa
+
+    from lucene_msmarco_ray.index.build import rows_to_segment_table
+    rng = np.random.default_rng(5)
+    terms, tps = [], []
+    for run in range(3):                       # 3 disjoint doc ranges
+        for t in ("alpha", "beta", "gamma", "delta"):
+            if rng.random() < 0.3 and run:
+                continue                       # some terms skip a run
+            nd = int(rng.integers(1, 90))
+            docs = np.sort(rng.choice(1000, nd, replace=False)) + run * 1000
+            tps.append(encode_term_postings(docs, rng.integers(1, 9, nd),
+                                            rng.integers(5, 50, nd), 16))
+            terms.append(t)
+    tbl = rows_to_segment_table(terms, np.zeros(len(terms)), tps)
+    half = tbl.num_rows // 2
+    for t in (pa.concat_tables([tbl.slice(0, half), tbl.slice(half)]),
+              tbl.slice(3)):               # chunked; offset into buffers
+        got = segment_runs(t)
+        want: dict[str, list[TermPostings]] = {}
+        for row in t.to_pylist():
+            want.setdefault(row["term"], []).append(
+                term_postings_from_row(row))
+        assert list(got) == list(want)
+        assert any(len(r) > 1 for r in want.values())
+        for term, runs in want.items():
+            assert len(got[term]) == len(runs)
+            for a, b in zip(got[term], runs):
+                assert_same_postings(a, b)
+            assert_same_postings(concat_runs(got[term]), concat_runs(runs))
+    assert segment_runs(tbl.slice(0, 0)) == {}

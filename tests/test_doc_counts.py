@@ -47,3 +47,20 @@ def test_rows_only_gates_are_named_in_readme():
     text = open(f"{REPO}/README.md").read()
     for name in set(q) - set(o):
         assert name in text, f"rows-only gate {name!r} undocumented in README"
+
+
+# the paper's engine: build, append, compaction, BM25/LM-Dirichlet top-1000,
+# term statistics and the evaluation metrics
+PAPER_CORE_GATES = {
+    "index_compact", "index_append", "bm25_topk", "bm25_topk_sharded",
+    "bm25_topk_ref_params", "lmdir_topk", "term_stats", "eval_metrics",
+}
+
+
+def test_paper_core_gates_lead_the_registry():
+    """Correctness rounds check a prefix of the registry; the paper-core
+    gates must always be inside the first 50."""
+    q = entrymod.queries()
+    assert PAPER_CORE_GATES <= set(q), PAPER_CORE_GATES - set(q)
+    missing = PAPER_CORE_GATES - set(list(q)[:50])
+    assert not missing, f"paper-core gates past position 50: {missing}"

@@ -83,6 +83,23 @@ def test_forward_index_buckets(ray_session, tmp_path, corpus_tokens):
         assert vecs[d] == dict(Counter(corpus_tokens[d]))
 
 
+def test_term_vectors_without_forward_index_says_rebuild(built_index,
+                                                        tmp_path):
+    """An index whose stats lack ``fwd_bucket_docs`` predates the forward
+    index; term_vectors refuses it instead of scanning staged postings."""
+    import json
+    import shutil
+    idx_dir, _ = built_index
+    old = str(tmp_path / "pre_fwd")
+    shutil.copytree(idx_dir, old)
+    stats_path = os.path.join(old, "stats.json")
+    stats = json.load(open(stats_path))
+    del stats["fwd_bucket_docs"]
+    json.dump(stats, open(stats_path, "w"))
+    with pytest.raises(RuntimeError, match="rebuild"):
+        IndexReader(old).term_vectors([0])
+
+
 def test_build_stats(built_index, corpus_tokens):
     _, stats = built_index
     assert stats["num_docs"] == len(corpus_tokens)
