@@ -15,13 +15,17 @@ scores all match (test-enforced).
 
 Cost model at scale: tokenize + staged write + encode of the NEW docs
 only, plus a vocabulary recount (a term-column scan of the segment
-metadata — O(vocab), not O(corpus)). Nothing existing is rewritten, so
-appending 1% of a 100-TB corpus costs ~1% of a build. The append is
-checkpointed exactly like a build partition (manifest + input lineage):
-a crashed append resumes, a re-run with unchanged inputs is a no-op for
-the tokenize stage and an idempotent overwrite for the encode stage
-(appended segment files are prefixed with the partition id and replaced
-atomically per run).
+metadata — O(vocab), not O(corpus)). The encode is one
+``build.write_segment_dir`` task (the writer build and compaction share)
+per (shard, salt) group the new docs touched; each writes its
+``<pid>-segment.parquet`` straight into the live tree through a
+dot-prefixed temp file and ``os.replace``. Nothing existing is
+rewritten, so appending 1% of a 100-TB corpus costs ~1% of a build. The
+append is checkpointed exactly like a build partition (manifest + input
+lineage): a crashed append resumes, a re-run with unchanged inputs is a
+no-op for the tokenize stage and an idempotent overwrite for the encode
+stage (it first removes the files its pid prefix names, then writes
+them again).
 
 Contract: appended ``id_col`` values must be dense and contiguous right
 after the existing docs (``[num_docs, num_docs + n_new)``) — verified
@@ -32,16 +36,14 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 
 import numpy as np
 import pyarrow.parquet as pq
-import ray.data as rd
 
 from ..config import EngineConfig
 from .build import (
-    _EncodeGkeyTask,
     count_distinct_terms,
+    encode_segments,
     expand_parquet_files,
     stage_tokenize_partition,
 )
@@ -94,7 +96,7 @@ def append_documents(index_dir: str, ds, *, text_col: str = "text",
 
     Returns the updated stats dict (also persisted to ``stats.json``).
 
-    Auto-compaction (the Lucene merge-policy analog): after the splice,
+    Auto-compaction (the Lucene merge-policy analog): after the encode,
     when the mean posting-run count per (term, shard, salt) — measured
     exactly by :func:`~.compact.fragmentation` at O(vocab · runs) cost —
     exceeds ``auto_compact_ratio``, :func:`~.compact.compact_index` runs
@@ -145,41 +147,18 @@ def append_documents(index_dir: str, ds, *, text_col: str = "text",
 
     # ---- stage C: encode ONLY this partition's gkey groups; old segment
     # rows are untouched (their salt-bucket doc ranges are disjoint, so the
-    # reader's concat_runs stitches per-term runs at load time) ----
-    gkeys: dict[int, list[str]] = {}
+    # reader's concat_runs stitches per-term runs at load time). The
+    # pid-prefixed file name never collides with build or other appends;
+    # a re-run first removes its own files (and a crashed run's temps) ----
+    seg_dir = os.path.join(index_dir, "segments")
+    for root, _, fs in os.walk(seg_dir):
+        for f in fs:
+            if f.startswith((f"{pid}-", f".{pid}-")):
+                os.remove(os.path.join(root, f))
     pdir = os.path.join(part_dir, "kind=p")
     if os.path.isdir(pdir):
-        for entry in sorted(os.listdir(pdir)):
-            if entry.startswith("gkey="):
-                k = int(entry.split("=", 1)[1])
-                gkeys.setdefault(k, []).extend(
-                    expand_parquet_files([os.path.join(pdir, entry)]))
-    seg_dir = os.path.join(index_dir, "segments")
-    tmp = os.path.join(index_dir, f"segments.append-{pid}.tmp")
-    shutil.rmtree(tmp, ignore_errors=True)
-    if gkeys:
-        plan = [{"gkey": k, "files": fs} for k, fs in sorted(gkeys.items())]
-        runs = rd.from_items(plan, override_num_blocks=max(1, len(plan))) \
-            .map_batches(_EncodeGkeyTask(cfg.block_size), batch_size=1,
-                         batch_format="pandas")
-        runs.write_parquet(tmp, partition_cols=["shard", "salt"])
-        # splice the new (shard, salt) files into the live tree with
-        # pid-prefixed names: idempotent (a resumed append first removes
-        # its own prefix) and never collides with build or other appends
-        for root, _, fs in os.walk(seg_dir):
-            for f in fs:
-                if f.startswith(f"{pid}-"):
-                    os.remove(os.path.join(root, f))
-        for root, _, fs in os.walk(tmp):
-            for f in fs:
-                if not f.endswith(".parquet"):
-                    continue
-                rel = os.path.relpath(root, tmp)
-                dest = os.path.join(seg_dir, rel)
-                os.makedirs(dest, exist_ok=True)
-                os.replace(os.path.join(root, f),
-                           os.path.join(dest, f"{pid}-{f}"))
-        shutil.rmtree(tmp, ignore_errors=True)
+        encode_segments([pdir], seg_dir, f"{pid}-segment.parquet",
+                        cfg.block_size)
 
     # ---- stats: exact integer folds from the manifest + a vocab recount
     # (O(vocab) term-column scan — never O(corpus)) ----
@@ -188,7 +167,7 @@ def append_documents(index_dir: str, ds, *, text_col: str = "text",
     stats["total_len"] = total_len
     stats["avgdl"] = (total_len / total) if total else 0.0
     stats["n_salt"] = max(1, int(np.ceil(total / cfg.salt_docs_per_bucket)))
-    stats["num_terms"] = count_distinct_terms(seg_dir, multi_run=True)
+    stats["num_terms"] = count_distinct_terms(seg_dir)
     man.data.setdefault("appends", []).append(
         {"pid": pid, "rows": n_new, "total_len": dl_new})
     man.set_stats(stats)

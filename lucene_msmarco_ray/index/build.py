@@ -10,8 +10,12 @@ Dataflow (SURVEY.md §3.1, operators I1-I7)::
         p = postings keyed by gkey=shard·2^20+salt, f = forward-index copy
         keyed by doc bucket, m = doc metadata + lineage sha)
     staged kind=m ──aggregate──► stats.json  (N, total_len → avgdl)
-    staged kind=p ──one vectorized encode task per gkey dir──►
-        segments/shard=S/salt=B/*.parquet (block-local varbyte + block-max)
+    staged kind=p ──one plain ray.remote task per gkey (write_segment_dir)──►
+        segments/shard=S/salt=B/segment.parquet (varbyte + block-max)
+
+Ray Data runs only the tokenize stage. Every segment file — build, append
+and compaction — is written by :func:`write_segment_dir`: one fixed-name
+file per (shard, salt) dir, terms sorted, so a build is byte-stable.
 
 Shuffle inventory: exactly ONE exchange over the postings, realized as the
 partitioned staged write (no all-to-all operator). A salted term's runs
@@ -23,7 +27,8 @@ terms are split across salt buckets — the per-group memory bound is
 term's df (SURVEY.md I6).
 
 Resumability: tokenize partitions are skipped when their lineage sha matches
-(manifest); segment writes go to a temp dir then rename (idempotent).
+(manifest); the segment tree is written to ``segments.tmp``, then renamed
+(a crashed merge re-runs from the staged files).
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from functools import partial
+from typing import Callable
 from zlib import crc32
 
 import numpy as np
@@ -40,10 +47,9 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
-import ray.data as rd
 
 from ..config import EngineConfig
-from ..stages.tokenize import TokenizeStage
+from ..stages.tokenize import GKEY_SALT_SPAN, TokenizeStage
 from .codec import TermPostings, encode_group_postings
 from .manifest import Manifest
 
@@ -72,11 +78,8 @@ def term_shard(term: str, num_shards: int) -> int:
 
 def _list_array(arrays: list[np.ndarray], dtype: pa.DataType) -> pa.ListArray:
     lens = np.fromiter((len(a) for a in arrays), dtype=np.int64, count=len(arrays))
-    offsets = np.zeros(len(arrays) + 1, dtype=np.int32)
-    np.cumsum(lens, out=offsets[1:])
-    values = np.concatenate(arrays) if arrays else np.empty(0)
-    return pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()),
-                                    pa.array(values, type=dtype))
+    return _list_from_flat(np.concatenate(arrays) if arrays else np.empty(0),
+                           lens, dtype)
 
 
 def rows_to_segment_table(terms: list[str], shards: np.ndarray,
@@ -143,16 +146,16 @@ def group_segment_table(terms: np.ndarray, shard: int, enc: dict,
 
 class _EncodeGkeyTask:
     """One (shard, salt) group — all postings files of one gkey directory —
-    → encoded term-run rows. The 'shuffle' already happened in the staged
-    partitioned write; this task just reads its group's files. The encode
-    itself is ONE vectorized pass over the whole group (no per-term loop —
-    round-1's merge hot spot, 14.2s of a 28.6s 2M-doc build)."""
+    → encoded term-run rows, terms in sorted order (the order compaction
+    writes). The 'shuffle' already happened in the staged partitioned
+    write; this just reads its group's files. The encode itself is ONE
+    vectorized pass over the whole group (no per-term loop — round-1's
+    merge hot spot, 14.2s of a 28.6s 2M-doc build)."""
 
     def __init__(self, block_size: int):
         self.block_size = block_size
 
     def __call__(self, batch: pd.DataFrame) -> pa.Table:
-        from ..stages.tokenize import GKEY_SALT_SPAN
         out = []
         for _, row in batch.iterrows():
             gkey = int(row["gkey"])
@@ -163,19 +166,49 @@ class _EncodeGkeyTask:
                 for f in row["files"]])
             if tbl.num_rows == 0:
                 continue
-            codes, uniq = pd.factorize(tbl["term"].to_pandas())
+            codes, uniq = pd.factorize(tbl["term"].to_pandas(), sort=True)
             doc = tbl["doc_id"].to_numpy(zero_copy_only=False)
             tf = tbl["tf"].to_numpy(zero_copy_only=False)
             dl = tbl["dl"].to_numpy(zero_copy_only=False)
             order = np.lexsort((doc, codes))
             codes, doc, tf, dl = codes[order], doc[order], tf[order], dl[order]
             enc = encode_group_postings(codes, doc, tf, dl, self.block_size)
-            terms = uniq.to_numpy()[codes[enc["term_starts"]]] \
-                if hasattr(uniq, "to_numpy") else np.asarray(uniq)[codes[enc["term_starts"]]]
+            terms = np.asarray(uniq)[codes[enc["term_starts"]]]
             out.append(group_segment_table(terms, shard, enc, salt))
         if not out:
             return rows_to_segment_table([], np.empty(0), [])
         return pa.concat_tables(out)
+
+
+@ray.remote
+def write_segment_dir(root: str, shard: int, salt: int, name: str,
+                      rows: Callable[[], pa.Table]) -> int:
+    """The one segment writer of build, append and compaction: writes
+    ``rows()`` — one (shard, salt) directory's encoded or merged rows — as
+    ONE file ``<root>/shard=S/salt=K/<name>``; the hive path carries shard
+    and salt, the file neither. It lands through a dot-prefixed temp file
+    (readers skip it) and ``os.replace``. Returns the row count."""
+    tbl = rows().drop(["shard", "salt"])
+    d = os.path.join(root, f"shard={shard}", f"salt={salt}")
+    os.makedirs(d, exist_ok=True)
+    tmp = os.path.join(d, f".{name}.tmp")
+    pq.write_table(tbl, tmp)
+    os.replace(tmp, os.path.join(d, name))
+    return tbl.num_rows
+
+
+def encode_segments(pdirs: list[str], root: str, name: str,
+                    block_size: int) -> dict[int, int]:
+    """Encode every gkey group of the staged ``kind=p`` dirs ``pdirs`` —
+    one :func:`write_segment_dir` task per (shard, salt), no exchange.
+    Returns gkey → segment rows written."""
+    groups = sorted(_gkey_dirs(pdirs).items())
+    rows = ray.get([write_segment_dir.remote(
+        root, k // GKEY_SALT_SPAN, k % GKEY_SALT_SPAN, name,
+        partial(_EncodeGkeyTask(block_size), pd.DataFrame(
+            [{"gkey": k, "files": expand_parquet_files(ds)}])))
+        for k, ds in groups])
+    return {k: n for (k, _), n in zip(groups, rows)}
 
 
 def pads_dirs(dirs: list[str]) -> pads.Dataset:
@@ -196,16 +229,15 @@ def expand_parquet_files(dirs: list[str]) -> list[str]:
     return sorted(out)
 
 
-def _gkey_files(out_dir: str) -> dict[int, list[str]]:
-    """gkey → parquet files across all staged build partitions."""
+def _gkey_dirs(pdirs: list[str]) -> dict[int, list[str]]:
+    """gkey → its ``gkey=K`` directories across the staged ``kind=`` dirs
+    ``pdirs`` (one per build partition that wrote the key)."""
     out: dict[int, list[str]] = {}
-    for pdir in _staged_dirs(out_dir, "p"):
+    for pdir in pdirs:
         for entry in sorted(os.listdir(pdir)):
-            if not entry.startswith("gkey="):
-                continue
-            k = int(entry.split("=", 1)[1])
-            out.setdefault(k, []).extend(
-                expand_parquet_files([os.path.join(pdir, entry)]))
+            if entry.startswith("gkey="):
+                out.setdefault(int(entry.split("=", 1)[1]), []).append(
+                    os.path.join(pdir, entry))
     return out
 
 
@@ -213,12 +245,7 @@ def fwd_bucket_dirs(index_dir: str) -> dict[int, list[str]]:
     """doc-bucket → directories of the forward index (kind=f rows), across
     all staged build partitions. A bucket's term vectors are the union of
     its dirs (one per build partition that saw docs of that range)."""
-    out: dict[int, list[str]] = {}
-    for pdir in _staged_dirs(index_dir, "f"):
-        for entry in sorted(os.listdir(pdir)):
-            if entry.startswith("gkey="):
-                b = int(entry.split("=", 1)[1])
-                out.setdefault(b, []).append(os.path.join(pdir, entry))
+    out = _gkey_dirs(_staged_dirs(index_dir, "f"))
     if not out:
         man_path = os.path.join(index_dir, "manifest.json")
         if os.path.exists(man_path):
@@ -317,16 +344,10 @@ def distinct_terms_per_dir(dirs: list[str]) -> list[int]:
     return ray.get([_distinct_terms.remote(d) for d in dirs])
 
 
-def count_distinct_terms(seg_dir: str, multi_run: bool) -> int:
-    """Vocabulary size of an index's segment tree. ``multi_run=False`` may
-    use footer row counts (one segment row per term); otherwise distinct
-    terms are counted per shard — terms never cross shards (at extreme
-    vocab sizes swap in a sketch)."""
-    if not multi_run:
-        return sum(
-            pq.read_metadata(os.path.join(root, f)).num_rows
-            for root, _, fs in os.walk(seg_dir) for f in fs
-            if f.endswith(".parquet"))
+def count_distinct_terms(seg_dir: str) -> int:
+    """Vocabulary size of an index's segment tree: distinct terms counted
+    per shard — terms never cross shards (at extreme vocab sizes swap in
+    a sketch)."""
     return sum(distinct_terms_per_dir(sorted(
         os.path.join(seg_dir, e) for e in os.listdir(seg_dir)
         if e.startswith("shard="))))
@@ -426,25 +447,22 @@ def build_index(
         seg_tmp = seg_dir + ".tmp"
         shutil.rmtree(seg_tmp, ignore_errors=True)
         shutil.rmtree(seg_dir, ignore_errors=True)
+        os.makedirs(seg_tmp)
         # the staged write already partitioned postings by gkey: the merge is
         # one independent task per (shard, salt) group — no all-to-all
         # operator (Ray's sort shuffle showed 2x run-to-run wall variance
-        # here; the partitioned-write shuffle is deterministic and each gkey
-        # directory is independently resumable)
-        plan = [{"gkey": k, "files": fs}
-                for k, fs in sorted(_gkey_files(out_dir).items())]
-        runs = rd.from_items(plan, override_num_blocks=max(1, len(plan))) \
-            .map_batches(_EncodeGkeyTask(cfg.block_size), batch_size=1,
-                         batch_format="pandas")
-        # NO second exchange for salted terms: a term's salt runs stay as
-        # separate segment ROWS within its shard dir and the reader concats
-        # them at load time (codec.concat_runs — pure metadata/bytes concat,
-        # zero decode). Round-1 shipped an eager groupby(shard) merge here;
-        # it shuffled every encoded posting byte through a sort operator for
-        # no read-time benefit (measured 6.5s of the 2M-doc build).
-        runs.write_parquet(seg_tmp, partition_cols=["shard", "salt"])
+        # here). NO second exchange for salted terms either: a term's salt
+        # runs stay as separate segment ROWS and the reader concats them at
+        # load time (codec.concat_runs, zero decode). Round-1's eager
+        # groupby(shard) merge cost 6.5s of the 2M-doc build for nothing.
+        rows = encode_segments(_staged_dirs(out_dir, "p"), seg_tmp,
+                               "segment.parquet", cfg.block_size)
         os.replace(seg_tmp, seg_dir)
-        n_terms = count_distinct_terms(seg_dir, multi_run=n_salt > 1)
+        # one salt bucket: one row per (term, shard), so the rows written
+        # ARE the vocabulary; otherwise count distinct terms per shard
+        n_terms = sum(rows.values()) \
+            if len({k % GKEY_SALT_SPAN for k in rows}) <= 1 \
+            else count_distinct_terms(seg_dir)
         man.mark_merge(cfg.num_shards, {"num_terms": int(n_terms)})
         stats["num_terms"] = int(n_terms)
     else:

@@ -1,8 +1,8 @@
 """Segment compaction — the Lucene merge-policy analog for appended
 indexes.
 
-Every :func:`~.append.append_documents` splices new pid-prefixed parquet
-files into the live ``segments/shard=S/salt=K`` tree, so a term
+Every :func:`~.append.append_documents` adds new pid-prefixed parquet
+files to the live ``segments/shard=S/salt=K`` tree, so a term
 accumulates one posting RUN per append that touched its salt bucket; the
 reader stitches them lazily with ``codec.concat_runs`` on every load.
 Compaction folds that debt back to ONE row per (term, shard, salt) — a
@@ -13,17 +13,16 @@ included. The (shard, salt) directory layout is PRESERVED: doc-sharded
 search topology, stats, and future appends are unaffected, and a later
 compaction folds those appends again.
 
-Cost model: one plain ``ray.remote`` task per (shard, salt) directory —
-no Ray Data plan, no actor pool, no exchange. Each task reads its
-directory, decodes it with ``codec.segment_runs`` (the reader's columnar
-decoder), concatenates each term's runs and writes ONE file under the
-same ``shard=S/salt=K`` path, returning (rows in, rows out) so
-:func:`compact_index` never re-scans the tree. The cost is the per-directory work plus one task
-dispatch each; the merge is embarrassingly parallel over the same
-partitioning the build chose. Crash safety: the new tree is fully
-written to ``segments.compact.tmp`` first, the live tree is moved to
-``segments.pre-compact``, the new tree renamed in, then the backup
-removed; a crash between the renames is auto-recovered on the next
+Cost model: one ``build.write_segment_dir`` task per (shard, salt)
+directory — the segment writer build and append use; no Ray Data plan,
+no exchange. Each reads its directory, decodes it with
+``codec.segment_runs`` (the reader's columnar decoder), concatenates each
+term's runs and writes ONE ``compacted.parquet`` under the same
+``shard=S/salt=K`` path; rows before come from Parquet footers. The cost
+is the per-directory work plus one task dispatch each. Crash safety:
+the new tree is fully written to ``segments.compact.tmp`` first, the
+live tree is moved to ``segments.pre-compact``, the new tree renamed in,
+then the backup removed; a crash between the renames is auto-recovered on the next
 compact/open by restoring the backup. Compaction is SINGLE-WRITER: the
 non-atomic swap is bracketed by a ``segments.compact.inprogress``
 sentinel (pid + host), and a reader that opens inside the swap window
@@ -36,13 +35,16 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from functools import partial
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
 
-from .build import distinct_terms_per_dir, rows_to_segment_table
+from .build import (distinct_terms_per_dir, rows_to_segment_table,
+                    write_segment_dir)
 from .codec import concat_runs, segment_runs
 from .manifest import Manifest
 
@@ -119,25 +121,16 @@ def fragmentation(seg_dir: str) -> tuple[int, int]:
     return rows, sum(distinct_terms_per_dir(dirs))
 
 
-@ray.remote
-def _compact_dir(seg_dir: str, tmp: str, sh: str, sa: str
-                 ) -> tuple[int, int]:
-    """Merge every term's runs within one ``shard=S/salt=K`` directory
-    into a single segment row, written as one file under the same path
-    in ``tmp``. Returns (rows in, rows out)."""
-    tbl = pads.dataset(os.path.join(seg_dir, sh, sa)).to_table()
-    by_term = segment_runs(tbl)
+def _merged_rows(d: str, shard: int, salt: int) -> pa.Table:
+    """One segment row per term of the directory ``d``: every term's runs
+    concatenated, terms in sorted order."""
+    by_term = segment_runs(pads.dataset(d).to_table())
     terms = sorted(by_term)
-    tps = [concat_runs(by_term[t]) for t in terms]
     n = len(terms)
-    # the hive path carries shard and salt; the file holds neither
-    out = rows_to_segment_table(
-        terms, np.full(n, int(sh.split("=", 1)[1]), np.int32), tps,
-        salts=np.full(n, int(sa.split("=", 1)[1]), np.int32)) \
-        .drop(["shard", "salt"])
-    os.makedirs(os.path.join(tmp, sh, sa), exist_ok=True)
-    pq.write_table(out, os.path.join(tmp, sh, sa, "compacted.parquet"))
-    return tbl.num_rows, n
+    return rows_to_segment_table(
+        terms, np.full(n, shard, np.int32),
+        [concat_runs(by_term[t]) for t in terms],
+        salts=np.full(n, salt, np.int32))
 
 
 def compact_index(index_dir: str) -> dict:
@@ -150,7 +143,7 @@ def compact_index(index_dir: str) -> dict:
         raise ValueError(f"{index_dir} is not a completed index build")
     seg_dir = os.path.join(index_dir, "segments")
 
-    plan = [(sh, sa)
+    plan = [(int(sh.split("=", 1)[1]), int(sa.split("=", 1)[1]))
             for sh in sorted(os.listdir(seg_dir)) if sh.startswith("shard=")
             for sa in sorted(os.listdir(os.path.join(seg_dir, sh)))
             if sa.startswith("salt=")]
@@ -159,10 +152,15 @@ def compact_index(index_dir: str) -> dict:
 
     tmp = seg_dir + ".compact.tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    counts = ray.get([_compact_dir.remote(seg_dir, tmp, sh, sa)
-                      for sh, sa in plan])
-    rows_before = sum(c[0] for c in counts)
-    rows_after = sum(c[1] for c in counts)
+    rows_before = sum(
+        pq.read_metadata(os.path.join(root, f)).num_rows
+        for root, _, fs in os.walk(seg_dir) for f in fs
+        if f.endswith(".parquet"))
+    rows_after = sum(ray.get([write_segment_dir.remote(
+        tmp, sh, sa, "compacted.parquet",
+        partial(_merged_rows,
+                os.path.join(seg_dir, f"shard={sh}", f"salt={sa}"), sh, sa))
+        for sh, sa in plan]))
 
     bak = seg_dir + ".pre-compact"
     shutil.rmtree(bak, ignore_errors=True)

@@ -83,7 +83,7 @@ def test_append_search_identical(corpora):
 
 
 def test_append_rerun_idempotent(corpora):
-    files, _, app_dir, rest = corpora
+    files, full_dir, app_dir, rest = corpora
     before = _term_table(app_dir)
     stats1 = json.load(open(os.path.join(app_dir, "stats.json")))
     # same pid + same lineage → checkpointed no-op fast path
@@ -92,18 +92,36 @@ def test_append_rerun_idempotent(corpora):
                               pid="rest", input_lineage="rest-v1")
     assert stats2["num_docs"] == stats1["num_docs"]
     assert _term_table(app_dir).equals(before)
-    # crash-recovery path: appends record missing (crash between splice
-    # and manifest save) → encode re-runs and the splice replaces the
-    # pid's own files in place — still identical output
+    # crash-recovery path: appends record missing (crash between encode
+    # and manifest save) → encode re-runs and replaces the pid's own files
+    # in place — still identical output. A stale pid file (and a crashed
+    # write's dot-temp) in a salt dir the re-run does NOT write must go too.
+    import shutil
+
     from lucene_msmarco_ray.index.manifest import Manifest
     man = Manifest(os.path.join(app_dir, "manifest.json"))
     man.data["appends"] = []
     man.save()
+    seg = os.path.join(app_dir, "segments")
+    stale = os.path.join(seg, "shard=0", "salt=0", "rest-segment.parquet")
+    assert not os.path.exists(stale)
+    shutil.copy(os.path.join(seg, "shard=1", "salt=0", "segment.parquet"),
+                stale)
+    shutil.copy(stale, os.path.join(seg, "shard=0", "salt=0",
+                                    ".rest-segment.parquet.tmp"))
+    assert not _term_table(app_dir).equals(before)
     stats3 = append_documents(app_dir, rest, text_col="content",
                               id_col="doc_id", key_col="doc_key",
                               pid="rest", input_lineage="rest-v1")
     assert stats3["num_docs"] == stats1["num_docs"]
+    assert not os.path.exists(stale)
+    left = [os.path.join(r, f) for r, _, fs in os.walk(seg) for f in fs
+            if f.startswith(".")]
+    assert left == []
+    assert not [e for e in os.listdir(app_dir)
+                if e.startswith("segments.append-")]
     assert _term_table(app_dir).equals(before)
+    assert _term_table(app_dir).equals(_term_table(full_dir))
 
 
 def test_append_rejects_gapped_ids(corpora, tmp_path):

@@ -74,8 +74,10 @@ def test_cli_build_search_evaluate(corpus_dir, tmp_path):
 
 
 def test_parallelism_determinism(corpus_dir, tmp_path):
-    """Same build at num_cpus=1 and num_cpus=4 → identical segment CONTENT
-    and identical retrieval output (SURVEY.md §5e)."""
+    """Same build at num_cpus=1 and num_cpus=4 → identical segment CONTENT,
+    the same segment files byte for byte (same relative paths, same
+    sha256) and identical retrieval output (SURVEY.md §5e)."""
+    import hashlib
     outs = {}
     for n in (1, 4):
         idx = str(tmp_path / f"idx{n}")
@@ -113,8 +115,15 @@ ray.shutdown()
                                      seg["cf"].to_pylist(),
                                      seg["doc_bytes"].to_pylist(),
                                      seg["tf_bytes"].to_pylist()))
+        seg_dir = os.path.join(idx, "segments")
+        outs[f"files{n}"] = {
+            os.path.relpath(os.path.join(root, f), seg_dir):
+                hashlib.sha256(open(os.path.join(root, f), "rb").read())
+                .hexdigest()
+            for root, _, fs in os.walk(seg_dir) for f in fs}
     assert outs[1] == outs[4]
     assert outs["seg1"] == outs["seg4"]
+    assert outs["files1"] and outs["files1"] == outs["files4"]
 
 
 def test_cli_curate(ray_session, tmp_path):
