@@ -1354,11 +1354,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def doc_stats(sf_dir: str):
         idx = _ensure_index(sf_dir)
-        base = os.path.join(idx, "staged")
-        dirs = [os.path.join(base, p, "kind=m") for p in sorted(os.listdir(base))
-                if p.startswith("part=")]
-        from lucene_msmarco_ray.index.build import pads_dirs
-        t = pads_dirs(dirs).to_table(columns=["doc_id", "dl"])
+        from lucene_msmarco_ray.index.build import _staged_dirs, pads_dirs
+        t = pads_dirs(_staged_dirs(idx, "m")).to_table(columns=["doc_id", "dl"])
         return pa.table({"doc_id": t["doc_id"].cast(pa.int64()),
                          "doc_len": t["dl"].cast(pa.int64())})
 

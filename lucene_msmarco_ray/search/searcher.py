@@ -14,8 +14,14 @@ terms' rows are read) and cached per actor. Heavy salted terms arrive as
 multiple block-runs concatenated at read time (codec.concat_runs — zero
 decode). The doc-length array is dense int32 indexed by doc id (dense ids via
 sources.corpus); at multi-node scale this array is the only per-actor
-footprint that grows with N (4 bytes/doc ⇒ 4 GB per 10^9 docs — sharded
-doc-partitioned search is the documented path beyond that).
+footprint that grows with N (4 bytes/doc ⇒ 4 GB per 10^9 docs).
+
+Beyond that, the same reader opens ONE salt bucket (``salt=B``): it reads
+only that bucket's ``segments/shard=*/salt=B`` dirs and doc-length rows, with
+doc ids local to the bucket, so its footprint is O(bucket docs); df/cf stay
+global. search/sharded.py runs one such :class:`SearchStage` per bucket and
+merges the per-bucket top-k — the doc-partitioned topology, scored by the
+same :func:`score_query_taat`.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
 from ..analysis import get_analyzer
-from ..index.build import pads_dirs, term_shard
+from ..index.build import _staged_dirs, pads_dirs, term_shard
 from ..index.codec import TermPostings, concat_runs, decode_all, segment_runs
 from .scoring import make_scorer
 
@@ -44,13 +50,22 @@ RUN_SCHEMA = pa.schema([
 
 class IndexReader:
     def __init__(self, index_dir: str, preload: bool = False,
-                 preload_ref=None):
+                 preload_ref=None, salt: int | None = None,
+                 global_stats: dict | None = None):
         """``preload_ref``: an ``ray.put`` ObjectRef of
         ``preload_tables(index_dir)`` — every actor then builds its views
         over ONE shared plasma copy of the segment/meta tables (zero-copy
         Arrow buffers) instead of re-reading and re-decoding the parquet
         per actor. On a multi-node cluster this is the broadcast pattern:
-        one object-store copy per node, not one decode per actor."""
+        one object-store copy per node, not one decode per actor.
+
+        ``salt``: read only that doc bucket — its ``segments/shard=*/salt=B``
+        dirs and its doc-length rows — with doc ids local to the bucket
+        (``doc_id - doc_base``). Scores still use GLOBAL statistics:
+        :meth:`prefetch` fetches each term's summed df/cf into
+        ``global_stats``, a term → (df, cf) dict that a caller holding
+        several bucket readers shares between them (one metadata read per
+        term, not one per bucket)."""
         # a compaction that crashed between its two renames leaves only
         # segments.pre-compact; restore it on OPEN (not just on the next
         # compact) — otherwise the reader would silently serve an empty
@@ -65,6 +80,16 @@ class IndexReader:
         self.avgdl = float(self.stats["avgdl"])
         self.total_len = int(self.stats["total_len"])
         self.num_shards = int(self.stats["num_shards"])
+        self.salt = salt
+        self.doc_base = 0
+        if salt is not None:
+            if preload or preload_ref is not None:
+                raise ValueError("a salt-bucket reader fetches on demand; "
+                                 "preload reads the whole index")
+            self._bucket_docs = (int(self.stats.get("salt_docs_per_bucket", 0))
+                                 or self.num_docs)
+            self.doc_base = salt * self._bucket_docs
+            self._global = {} if global_stats is None else global_stats
         seg_tbl = meta_tbl = None
         if preload_ref is not None:
             import ray
@@ -90,12 +115,14 @@ class IndexReader:
     # --- doc lengths (dense array) ---
     def _load_doc_lens(self, t: pa.Table | None = None) -> None:
         if t is None:
-            base = os.path.join(self.index_dir, "staged")
-            meta_dirs = sorted(
-                os.path.join(base, p, "kind=m") for p in os.listdir(base)
-                if p.startswith("part="))
-            t = pads_dirs(meta_dirs).to_table(columns=["doc_id", "dl"])
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+            in_bucket = None
+            if self.salt is not None:
+                in_bucket = ((pc.field("doc_id") >= self.doc_base)
+                             & (pc.field("doc_id")
+                                < self.doc_base + self._bucket_docs))
+            t = pads_dirs(_staged_dirs(self.index_dir, "m")).to_table(
+                columns=["doc_id", "dl"], filter=in_bucket)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False) - self.doc_base
         dls = t["dl"].to_numpy(zero_copy_only=False)
         size = int(ids.max()) + 1 if len(ids) else 0
         self._dl = np.zeros(size, dtype=np.int32)
@@ -112,7 +139,8 @@ class IndexReader:
 
     # --- term postings ---
     def _shard_dir(self, shard: int) -> str:
-        return os.path.join(self.index_dir, "segments", f"shard={shard}")
+        d = os.path.join(self.index_dir, "segments", f"shard={shard}")
+        return d if self.salt is None else os.path.join(d, f"salt={self.salt}")
 
     def _rows_to_cache(self, tbl: pa.Table) -> None:
         for term, runs in segment_runs(tbl).items():
@@ -125,23 +153,42 @@ class IndexReader:
         self._preloaded = True
 
     def prefetch(self, terms: list[str]) -> None:
-        """Batched fetch of missing terms, one filtered read per shard."""
+        """Batched fetch of missing terms: one term-filtered read over the
+        shard dirs that hold them."""
         if self._preloaded:
             return
         missing = sorted({t for t in terms if t not in self._cache})
         if not missing:
             return
-        by_shard: dict[int, list[str]] = {}
+        if self.salt is not None:
+            self._fetch_global_stats(missing)
+        dirs = [d for d in map(self._shard_dir, sorted(
+            {term_shard(t, self.num_shards) for t in missing}))
+            if os.path.isdir(d)]
+        if dirs:
+            self._rows_to_cache(pads_dirs(dirs).to_table(
+                filter=pc.field("term").isin(missing)))
         for t in missing:
-            by_shard.setdefault(term_shard(t, self.num_shards), []).append(t)
-        for shard, ts in by_shard.items():
-            d = self._shard_dir(shard)
-            if os.path.isdir(d):
-                tbl = pads.dataset(d).to_table(
-                    filter=pc.field("term").isin(ts))
-                self._rows_to_cache(tbl)
-        for t in missing:
-            self._cache.setdefault(t, None)  # df = 0 terms
+            tp = self._cache.setdefault(t, None)  # None: df = 0 terms
+            if tp is not None and self.salt is not None:
+                tp.df, tp.cf = self._global[t]
+
+    def _fetch_global_stats(self, terms: list[str]) -> None:
+        """Summed (df, cf) of ``terms`` over every bucket into the shared
+        ``global_stats``: one term-filtered read of the metadata columns
+        (no posting bytes leave storage)."""
+        todo = dict.fromkeys((t for t in terms if t not in self._global),
+                             (0, 0))
+        seg = os.path.join(self.index_dir, "segments")
+        if not todo or not os.path.isdir(seg):
+            return
+        t = pads.dataset(seg).to_table(
+            columns=["term", "df", "cf"],
+            filter=pc.field("term").isin(list(todo))) \
+            .group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
+        todo.update(zip(t["term"].to_pylist(),
+                        zip(t["df_sum"].to_pylist(), t["cf_sum"].to_pylist())))
+        self._global.update(todo)
 
     def get_term(self, term: str) -> TermPostings | None:
         if term not in self._cache:
@@ -157,7 +204,8 @@ class IndexReader:
         tp = self.get_term(term)
         if tp is None:
             return None
-        arrays = decode_all(tp)
+        docs, tfs = decode_all(tp)
+        arrays = (docs - self.doc_base if self.doc_base else docs, tfs)
         if len(self._decoded) >= self._decoded_cap:
             # drop ~half, oldest first (insertion-ordered dict)
             for k in list(self._decoded)[: self._decoded_cap // 2]:
@@ -297,18 +345,15 @@ def preload_tables(index_dir: str) -> tuple[pa.Table, pa.Table]:
     """Read the (segments, doc-meta) tables ONCE for object-store sharing
     across a searcher pool: ``ref = ray.put(preload_tables(idx))`` then
     ``IndexReader(idx, preload_ref=ref)`` per actor. Requires the
-    index-fits-one-node preload mode (search/sharded.py is the
-    doc-partitioned path beyond that)."""
+    index-fits-one-node preload mode (beyond that, search/sharded.py runs
+    one salt-bucket reader per doc shard)."""
     from ..index.compact import _recover_interrupted
     _recover_interrupted(index_dir)    # interrupted compaction → restore
     seg = os.path.join(index_dir, "segments")
     seg_tbl = (pads.dataset(seg).to_table() if os.path.isdir(seg)
                else pa.table({}))
-    base = os.path.join(index_dir, "staged")
-    meta_dirs = sorted(
-        os.path.join(base, p, "kind=m") for p in os.listdir(base)
-        if p.startswith("part="))
-    meta_tbl = pads_dirs(meta_dirs).to_table(columns=["doc_id", "dl"])
+    meta_tbl = pads_dirs(_staged_dirs(index_dir, "m")).to_table(
+        columns=["doc_id", "dl"])
     return seg_tbl.combine_chunks(), meta_tbl.combine_chunks()
 
 
@@ -318,12 +363,17 @@ class SearchStage:
     Per-actor state (reader, analyzer, scorer) is built once in ``__init__``
     (SURVEY.md T1); use as
     ``queries.map_batches(SearchStage, fn_constructor_kwargs=..., concurrency=A)``.
+    ``salt``/``global_stats`` open a one-bucket reader (see
+    :class:`IndexReader`); the returned doc ids are global either way.
     """
 
     def __init__(self, index_dir: str, scorer: str = "bm25", k: int = 1000,
-                 preload: bool = False, preload_ref=None, **scorer_kw):
+                 preload: bool = False, preload_ref=None,
+                 salt: int | None = None, global_stats: dict | None = None,
+                 **scorer_kw):
         self.reader = IndexReader(index_dir, preload=preload,
-                                  preload_ref=preload_ref)
+                                  preload_ref=preload_ref, salt=salt,
+                                  global_stats=global_stats)
         st = self.reader.stats
         self.analyzer = get_analyzer(
             st["analyzer"], st.get("stopword_file"),
@@ -347,6 +397,8 @@ class SearchStage:
             qterms = {t: float(c) for t, c in Counter(terms).items()}
             docs, scores = score_query_taat(self.reader, qterms, self.k,
                                             self.scorer)
+            if self.reader.doc_base:
+                docs = docs + self.reader.doc_base
             n = len(docs)
             out_qid.extend([str(qid)] * n)
             out_doc.append(docs)
@@ -358,6 +410,35 @@ class SearchStage:
             pa.array(np.concatenate(out_rank) if out_rank else np.empty(0, np.int32)),
             pa.array(np.concatenate(out_score) if out_score else np.empty(0, np.float64)),
         ], schema=RUN_SCHEMA)
+
+
+def actor_pool_kwargs(concurrency: int | tuple[int, int],
+                      actor_num_cpus: float | None) -> tuple[dict, int]:
+    """Ray Data kwargs (``concurrency``, ``num_cpus``) for a searcher actor
+    pool on the current cluster, and the pool's largest size.
+
+    A pool that starts with every CPU deadlocks: Ray Data waits for its
+    first actors before scheduling work, the actors hold every CPU, and the
+    upstream tasks can never produce a block (observed live, not
+    hypothetical). Such a pool becomes a fixed one that leaves one CPU for
+    producers; on a one-CPU cluster that leaves nothing, so the lone actor
+    reserves no CPU and shares the core with the producer tasks."""
+    lo, hi = concurrency if isinstance(concurrency, tuple) \
+        else (concurrency, concurrency)
+    try:
+        import ray
+        total = int(ray.cluster_resources().get("CPU", 0))
+    except Exception:
+        total = 0
+    per_actor = actor_num_cpus or 1.0
+    if total and lo * per_actor >= total:
+        actor_num_cpus = min(per_actor, total - 1)
+        hi = int((total - 1) / actor_num_cpus) if actor_num_cpus else 1
+        concurrency = hi
+    kw = {"concurrency": concurrency}
+    if actor_num_cpus is not None:
+        kw["num_cpus"] = actor_num_cpus
+    return kw, hi
 
 
 def retrieve(queries_ds, index_dir: str, *, scorer: str = "bm25", k: int = 1000,
@@ -373,24 +454,7 @@ def retrieve(queries_ds, index_dir: str, *, scorer: str = "bm25", k: int = 1000,
     usually arrive as ONE block (from_arrow/from_items), and one block means
     one task on one actor regardless of pool size. 8 blocks per actor keeps
     the pool load-balanced (per-query cost varies ~2x with term weight)."""
-    lo, hi = concurrency if isinstance(concurrency, tuple) \
-        else (concurrency, concurrency)
-    # A pool that starts with every CPU deadlocks: Ray Data waits for its
-    # first actors before scheduling work, the actors hold every CPU, and
-    # the upstream repartition can never produce a block (observed live,
-    # not hypothetical). Such a pool becomes a fixed one that leaves one CPU
-    # for producers; on a one-CPU cluster that leaves nothing, so the lone
-    # actor reserves no CPU and shares the core with the producer tasks.
-    try:
-        import ray
-        total = int(ray.cluster_resources().get("CPU", 0))
-    except Exception:
-        total = 0
-    per_actor = actor_num_cpus or 1.0
-    if total and lo * per_actor >= total:
-        actor_num_cpus = min(per_actor, total - 1)
-        hi = int((total - 1) / actor_num_cpus) if actor_num_cpus else 1
-        concurrency = hi
+    pool_kw, hi = actor_pool_kwargs(concurrency, actor_num_cpus)
     queries_ds = queries_ds.repartition(max(8 * hi, 8))
     preload_ref = None
     if preload and hi > 1:
@@ -406,6 +470,4 @@ def retrieve(queries_ds, index_dir: str, *, scorer: str = "bm25", k: int = 1000,
         fn_constructor_kwargs=dict(index_dir=index_dir, scorer=scorer, k=k,
                                    preload=preload, preload_ref=preload_ref,
                                    **scorer_kw),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
-        **({} if actor_num_cpus is None else {"num_cpus": actor_num_cpus}))
+        batch_format="pyarrow", batch_size=batch_size, **pool_kw)

@@ -17,7 +17,8 @@ Results are bit-identical to ``retrieve`` on the same index/scorer
 
 Scale notes: the pool is query-partitioned (each actor holds the WHOLE
 index) — the right topology while the per-actor footprint fits DRAM;
-``search/sharded.py`` is the doc-partitioned path beyond that. Batches
+beyond that ``search/sharded.py`` partitions by doc, running the same
+:class:`~.searcher.SearchStage` over one salt bucket per reader. Batches
 round-robin across actors with at most ``inflight_per_actor``
 outstanding calls so a giant query table cannot queue unbounded futures.
 """

@@ -9,20 +9,24 @@ merge takes the global top-k.
 The merge-free segment layout makes this free at the storage level: salt
 runs are written ``segments/shard=S/salt=B/`` where ``salt = doc_id //
 salt_docs_per_bucket`` — a doc shard IS a salt bucket, so a shard reader
-loads only its ``salt=B`` directories (directory-level pruning, no
-filtering reads).
+reads only its ``salt=B`` directories (directory-level pruning), and in
+them only the query terms' rows.
 
-Correctness: BM25/LM scores use GLOBAL collection statistics — N/avgdl
-from stats.json, per-term df/cf summed across salt runs and fetched
-per-actor with a term-filtered metadata read (footprint O(query terms),
-never the whole vocabulary) — and a document's score is a sum of per-term
-contributions evaluated identically in every shard, so sharded results are
-IDENTICAL to the single-reader path including tie-breaks (test-enforced).
+A doc shard is answered by the single-reader searcher itself: a
+:class:`~.searcher.SearchStage` opened on one salt bucket. Its reader holds
+the bucket's doc lengths and postings under bucket-local ids, and scores
+with GLOBAL collection statistics — N/avgdl from stats.json, per-term
+df/cf summed across salt runs with a term-filtered metadata read into a
+cache shared by all of an actor's bucket readers (footprint O(query
+terms), never the whole vocabulary). A document's score is a sum of
+per-term contributions evaluated identically in every shard, so sharded
+results are IDENTICAL to the single-reader path including tie-breaks
+(test-enforced).
 
 Dataflow::
 
     queries ──flat_map(replicate × shards)──groupby(salt)──map_groups(
-        _ShardSearch: load salt dirs once per group → TAAT per query →
+        _ShardSearch: the salt's SearchStage, opened once per actor →
         per-shard top-k rows)
       ──groupby(qid)──map_groups(exact merge top-k)──► run
 
@@ -34,163 +38,33 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..analysis import get_analyzer
-from ..index.build import pads_dirs
-from ..index.codec import decode_all
-from .scoring import make_scorer
-from .searcher import _topk_exact
-
-
-class _GlobalTermStats:
-    """Lazy per-actor cache of GLOBAL (df, cf) per term — fetched with a
-    term-filtered read over the segments METADATA columns only (no posting
-    bytes leave storage). Scale note: this replaces a round-2-draft design
-    that broadcast the whole vocabulary as a Python dict (wrong at web
-    scale); here the footprint is O(query terms seen by this actor)."""
-
-    def __init__(self, index_dir: str):
-        self.seg = os.path.join(index_dir, "segments")
-        self._cache: dict[str, tuple[int, int] | None] = {}
-
-    def fetch(self, terms: list[str]) -> None:
-        import pyarrow.compute as pc
-        missing = sorted({t for t in terms if t not in self._cache})
-        if not missing:
-            return
-        t = pads_dirs([self.seg]).to_table(
-            columns=["term", "df", "cf"],
-            filter=pc.field("term").isin(missing)) \
-            .group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-        for w, d, c in zip(t["term"].to_pylist(), t["df_sum"].to_pylist(),
-                           t["cf_sum"].to_pylist()):
-            self._cache[w] = (int(d), int(c))
-        for w in missing:
-            self._cache.setdefault(w, None)
-
-    def get(self, term: str):
-        return self._cache.get(term)
-
-
-def _salt_dirs(index_dir: str, salt: int) -> list[str]:
-    seg = os.path.join(index_dir, "segments")
-    out = []
-    for e in sorted(os.listdir(seg)):
-        d = os.path.join(seg, e, f"salt={salt}")
-        if e.startswith("shard=") and os.path.isdir(d):
-            out.append(d)
-    return out
+from .searcher import SearchStage, _topk_exact, actor_pool_kwargs
 
 
 class _ShardSearch:
-    """One group = (all queries, one doc shard). The shard's postings and
-    doc lengths load ONCE per group; every query then runs vectorized TAAT
-    over the local doc range with GLOBAL statistics."""
+    """One group = (all queries, one doc shard), answered by that shard's
+    :class:`SearchStage`, opened on the first group of its salt."""
 
     __name__ = "shard_search"
 
     def __init__(self, index_dir: str, k: int, scorer: str,
                  scorer_kw: dict):
-        self.index_dir = index_dir
-        st_path = os.path.join(index_dir, "stats.json")
-        with open(st_path) as f:
-            self.stats = json.load(f)
-        self.gdf = _GlobalTermStats(index_dir)
-        self.num_docs = int(self.stats["num_docs"])
-        self.avgdl = float(self.stats["avgdl"])
-        self.total_len = int(self.stats["total_len"])
-        self.salt_bucket = int(self.stats.get("salt_docs_per_bucket", 0)) or \
-            self.num_docs
-        self.analyzer = get_analyzer(
-            self.stats["analyzer"], self.stats.get("stopword_file"),
-            self.stats.get("normalize_numbers", True)
-            if self.stats["analyzer"] == "english" else False)
-        self.scorer = make_scorer(scorer, **scorer_kw)
-        self.k = k
-        self._loaded: dict[int, tuple] = {}
+        # one global-stats dict for every bucket reader of this actor
+        self._kw = dict(index_dir=index_dir, k=k, scorer=scorer,
+                        global_stats={}, **scorer_kw)
+        self._stages: dict[int, SearchStage] = {}
 
-    def _load_shard(self, salt: int):
-        hit = self._loaded.get(salt)
-        if hit is not None:
-            return hit
-        lo = salt * self.salt_bucket
-        dirs = _salt_dirs(self.index_dir, salt)
-        postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        hi = lo
-        if dirs:
-            from .searcher import IndexReader
-            rdr = IndexReader.__new__(IndexReader)     # reuse columnar loader
-            rdr._cache = {}
-            rdr._rows_to_cache(pads_dirs(dirs).to_table())
-            for term, tp in rdr._cache.items():
-                docs, tfs = decode_all(tp)
-                postings[term] = (docs, tfs)
-                if docs.size:
-                    hi = max(hi, int(docs[-1]) + 1)
-        # local doc lengths for the range (meta rows filtered by doc id)
-        import pyarrow.compute as pc
-        base = os.path.join(self.index_dir, "staged")
-        meta_dirs = sorted(os.path.join(base, p, "kind=m")
-                           for p in os.listdir(base) if p.startswith("part="))
-        t = pads_dirs(meta_dirs).to_table(
-            columns=["doc_id", "dl"],
-            filter=(pc.field("doc_id") >= lo)
-            & (pc.field("doc_id") < lo + self.salt_bucket))
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        size = max(hi - lo, (int(ids.max()) + 1 - lo) if ids.size else 0)
-        dl = np.zeros(max(size, 0), np.int32)
-        if ids.size:
-            dl[ids - lo] = t["dl"].to_numpy(zero_copy_only=False)
-        loaded = (lo, postings, dl)
-        self._loaded[salt] = loaded
-        return loaded
-
-    def __call__(self, g: pd.DataFrame) -> pa.Table:
-        salt = int(g["salt"].iloc[0])
-        lo, postings, dl = self._load_shard(salt)
-        acc = np.zeros(dl.size, np.float64)
-        matched = np.zeros(dl.size, bool)
-        out_q, out_d, out_s = [], [], []
-        analyzed = [(qid, {t: float(c) for t, c in
-                           Counter(self.analyzer(text)).items()})
-                    for qid, text in zip(g["qid"], g["text"])]
-        self.gdf.fetch([t for _, q in analyzed for t in q])
-        for qid, qterms in analyzed:
-            hit = False
-            for term, boost in qterms.items():
-                p = postings.get(term)
-                st = self.gdf.get(term)
-                if p is None or st is None:
-                    continue
-                docs, tfs = p
-                local = docs - lo
-                contrib = boost * self.scorer.term_scores(
-                    tfs.astype(np.float64),
-                    dl[local].astype(np.float64),
-                    st[0], st[1], self.num_docs, self.avgdl, self.total_len)
-                acc[local] += contrib
-                matched[local] = True
-                hit = True
-            if hit:
-                cand = np.flatnonzero(matched)
-                d, s = _topk_exact(cand + lo, acc[cand], self.k)
-                acc[cand] = 0.0
-                matched[cand] = False
-                out_q.extend([str(qid)] * d.size)
-                out_d.append(d)
-                out_s.append(s)
-        return pa.table({
-            "qid": pa.array(out_q, pa.string()),
-            "doc_id": pa.array(np.concatenate(out_d) if out_d
-                               else np.empty(0, np.int64)),
-            "score": pa.array(np.concatenate(out_s) if out_s
-                              else np.empty(0, np.float64)),
-        })
+    def __call__(self, g: pa.Table) -> pa.Table:
+        salt = g["salt"][0].as_py()
+        stage = self._stages.get(salt)
+        if stage is None:
+            stage = self._stages[salt] = SearchStage(salt=salt, **self._kw)
+        return stage(g)
 
 
 def _merge_topk(k: int):
@@ -221,11 +95,11 @@ def retrieve_sharded(queries_ds, index_dir: str, *, scorer: str = "bm25",
         return [{"qid": str(row["qid"]), "text": row["text"], "salt": s}
                 for s in range(n_salt)]
 
-    pairs = queries_ds.flat_map(replicate)
-    partial = pairs.groupby("salt").map_groups(
-        _ShardSearch, batch_format="pandas", concurrency=concurrency,
+    pool_kw, _ = actor_pool_kwargs(concurrency, actor_num_cpus)
+    partial = queries_ds.flat_map(replicate).groupby("salt").map_groups(
+        _ShardSearch, batch_format="pyarrow",
         fn_constructor_kwargs=dict(index_dir=index_dir,
                                    k=k, scorer=scorer, scorer_kw=scorer_kw),
-        **({"num_cpus": actor_num_cpus} if actor_num_cpus else {}))
+        **pool_kw)
     return partial.groupby("qid").map_groups(_merge_topk(k),
                                              batch_format="pandas")

@@ -10,15 +10,27 @@ from lucene_msmarco_ray.index.build import build_index
 SF_DIR = "/root/testdata/sf0.001"
 
 
-@pytest.fixture(scope="module")
-def salted_index(ray_session, tmp_path_factory):
+@pytest.fixture(scope="module", params=["build", "build+append"])
+def salted_index(ray_session, tmp_path_factory, request):
+    """A 4-bucket salted index, built in one go or built from the first 300
+    docs and appended with the rest: the append leaves two runs of a term
+    in one salt dir (bucket 2 straddles doc 300) and adds bucket 3."""
     import ray.data as rd
+
+    from lucene_msmarco_ray.index.append import append_documents
     out = str(tmp_path_factory.mktemp("shidx") / "idx")
     cfg = EngineConfig(analyzer="simple", num_shards=4, block_size=16,
                        salt_docs_per_bucket=128)   # 500 docs → 4 doc shards
     ds = rd.read_parquet(f"{SF_DIR}/documents.parquet",
                          columns=["doc_id", "text"])
-    stats = build_index(ds, out, cfg, text_col="text", id_col="doc_id")
+    if request.param == "build":
+        stats = build_index(ds, out, cfg, text_col="text", id_col="doc_id")
+    else:
+        build_index(ds.filter(expr="doc_id < 300"), out, cfg,
+                    text_col="text", id_col="doc_id")
+        stats = append_documents(out, ds.filter(expr="doc_id >= 300"),
+                                 text_col="text", id_col="doc_id",
+                                 auto_compact_ratio=None)
     assert stats["n_salt"] == 4
     return out
 
@@ -67,6 +79,50 @@ def test_sharded_topk_cut_is_global(salted_index):
                                       k=7, k1=0.7, b=0.3).to_pandas())
     assert len(sharded) == 7
     pd.testing.assert_frame_equal(single, sharded)
+
+
+def test_sharded_on_one_cpu_returns(salted_index):
+    """A one-CPU cluster with the default pool size: the shard actors must
+    not hold the only CPU the upstream shuffle needs (it hung forever)."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import ray.data as rd
+
+    from lucene_msmarco_ray.search.searcher import retrieve
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = f"""
+import json, ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import ray.data as rd
+from lucene_msmarco_ray.search.sharded import retrieve_sharded
+run = retrieve_sharded(rd.from_items({QUERIES!r}), {salted_index!r},
+                       scorer="bm25", k=50, k1=0.7, b=0.3).to_pandas()
+print(json.dumps(run.to_dict(orient="list")))
+ray.shutdown()
+"""
+    # own process group: a hung run's Ray services are killed with it
+    p = subprocess.Popen([sys.executable, "-c", code], cwd=repo,
+                         env=dict(os.environ, PYTHONPATH=repo),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True, start_new_session=True)
+    try:
+        out, err = p.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        raise
+    assert p.returncode == 0, err[-2000:]
+    got = _canon(pd.DataFrame(json.loads(out.strip().splitlines()[-1])))
+    want = _canon(retrieve(rd.from_items(QUERIES), salted_index,
+                           scorer="bm25", k=50, k1=0.7, b=0.3).to_pandas())
+    pd.testing.assert_frame_equal(got, want)
 
 
 def test_searcher_pool_matches_retrieve_and_reuses(ray_session,
