@@ -75,12 +75,7 @@ class WhitespaceAnalyzer:
     """Pure whitespace split; no case folding (Lucene WhitespaceAnalyzer
     semantics — the reference's fallback path, MsMarcoIndexer.java:27-28)."""
 
-    def __init__(self, normalize_nums: bool = False) -> None:
-        self.normalize_nums = normalize_nums
-
     def __call__(self, text: str) -> list[str]:
-        if self.normalize_nums:
-            text = normalize_numbers(text)
         return text.split()
 
 
@@ -89,13 +84,10 @@ class SimpleAnalyzer:
     the DuckDB oracle gate (string_split on single spaces matches because the
     fixture corpus is single-space separated; general text uses the regex)."""
 
-    def __init__(self, normalize_nums: bool = False) -> None:
-        self.normalize_nums = normalize_nums
+    def __init__(self) -> None:
         self._re = re.compile(r"[0-9a-z_]+")
 
     def __call__(self, text: str) -> list[str]:
-        if self.normalize_nums:
-            text = normalize_numbers(text)
         return self._re.findall(text.lower())
 
 
@@ -109,17 +101,17 @@ _SINGLETONS: dict[tuple, Callable[[str], list[str]]] = {}
 
 
 def get_analyzer(name: str, stopword_file: str | None = None,
-                 normalize_nums: bool | None = None) -> Callable[[str], list[str]]:
+                 normalize_nums: bool = True) -> Callable[[str], list[str]]:
     """Per-process analyzer singleton (state — stem cache, stop set, compiled
-    regexes — built once per worker, reused across batches)."""
-    if name == "english":
-        key = (name, stopword_file, True if normalize_nums is None else normalize_nums)
-        if key not in _SINGLETONS:
-            _SINGLETONS[key] = EnglishAnalyzer(stopword_file, key[2])
-        return _SINGLETONS[key]
+    regexes — built once per worker, reused across batches). The stop list
+    and number normalization are steps of the "english" chain only; the
+    other analyzers ignore both arguments, so callers pass an index's
+    settings through unchanged."""
     if name not in _REGISTRY:
         raise ValueError(f"unknown analyzer {name!r}; options: {sorted(_REGISTRY)}")
-    key = (name, bool(normalize_nums))
+    key = ((name, stopword_file, normalize_nums) if name == "english"
+           else (name,))
     if key not in _SINGLETONS:
-        _SINGLETONS[key] = _REGISTRY[name](normalize_nums=bool(normalize_nums))
+        _SINGLETONS[key] = (EnglishAnalyzer(stopword_file, normalize_nums)
+                            if name == "english" else _REGISTRY[name]())
     return _SINGLETONS[key]

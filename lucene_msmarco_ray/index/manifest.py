@@ -50,9 +50,6 @@ class Manifest:
         os.replace(tmp, self.path)
 
     # --- params ---
-    def params_match(self, params: dict) -> bool:
-        return self.data.get("params") == params
-
     def set_params(self, params: dict) -> None:
         if self.data.get("params") not in (None, params):
             # params changed → all prior work is invalid

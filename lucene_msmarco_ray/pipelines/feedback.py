@@ -1,9 +1,24 @@
 """Feedback / QPP Ray pipelines: per-query computations over a run table.
 
-Shape (SURVEY.md §3.3): run × queries → ``groupby(qid).map_groups`` with a
-callable-class stage — the IndexReader (doc lens, stats, term cache) is
-per-actor state built once (T1), queries are broadcast (J4), and each group
-is one query's ranked list, so no further shuffle is needed downstream.
+Every operation here but :func:`lm_doc_weights` has one shape (SURVEY.md
+§3.3): per query, fetch the ranked docs' term vectors and compute. One
+stage runs them all as ``groupby(qid).map_groups``: :class:`PerQueryStage`
+builds its per-actor state once (T1) — the IndexReader (doc lens, stats,
+term cache), the query texts and the index's query analyzer — and receives
+the queries and the op's arguments as ONE broadcast object (J4). Each op is
+a plain function ``(stage, qid, group, **kw) -> DataFrame``. The stage
+hands it the group as it arrives, unsorted: SRLM-fit groups are
+(qid, doc_id) rel pairs without a ``rank`` column, and Rocchio groups carry
+rank-0 placeholder rows. Each group is one query's rows, so no further
+shuffle is needed downstream.
+
+The pieces the ops share live once: :meth:`PerQueryStage.rm_fit` (rerank,
+expand, term stats), :meth:`PerQueryStage.lm_weights` (SRLM fit and rerank,
+Rocchio) and :func:`_ranked` (the rerankers' run rows). The scalar
+semantics stay in ``fdbk/`` and ``qpp/``.
+
+:func:`lm_doc_weights` is a map over forward-index buckets, not a
+per-query op, and keeps its own stage.
 """
 
 from __future__ import annotations
@@ -12,6 +27,7 @@ import numpy as np
 import pandas as pd
 import ray
 
+from ..analysis import get_analyzer
 from ..fdbk.rlm import (
     RLM_NUM_TOP_DOCS,
     TopDocsTermStats,
@@ -20,8 +36,64 @@ from ..fdbk.rlm import (
     rm1_weights,
     rm_conditional_weights,
 )
+from ..fdbk.srlm import (
+    SupervisedRLMModel,
+    induce_scores,
+    lm_term_weights,
+    rocchio_expand,
+)
 from ..qpp.methods import avg_idf, cumulative_nqc, max_idf, nqc, rsd, uef
 from ..search.searcher import IndexReader
+
+
+class PerQueryStage:
+    """One qid group → ``op(self, qid, group, **kw)`` rows."""
+
+    def __init__(self, index_dir: str, op, args_ref):
+        self.reader = IndexReader(index_dir)
+        st = self.reader.stats
+        self.analyzer = get_analyzer(st["analyzer"], st.get("stopword_file"),
+                                     st.get("normalize_numbers", True))
+        self.kw = dict(ray.get(args_ref))
+        self.queries = self.kw.pop("queries")
+        self.op = op
+
+    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
+        return self.op(self, str(g["qid"].iloc[0]), g, **self.kw)
+
+    def query_terms(self, qid: str) -> list[str]:
+        return self.analyzer(self.queries.get(qid, ""))
+
+    def rm_fit(self, qid: str, topdocs: list[tuple[int, float]], model: str,
+               num_top_docs: int):
+        """RM fit over a ranked list → (stats, weights). ``model``: "iid"
+        (reference: fdbk/RelevanceModelIId) or "conditional"
+        (RelevanceModelConditional); weights is None when the list's docs
+        hold no terms."""
+        vecs = self.reader.term_vectors([d for d, _ in topdocs])
+        stats = TopDocsTermStats(topdocs, vecs, num_top_docs)
+        if not stats.docvecs or stats.sum_tf == 0:
+            return stats, None
+        if model == "iid":
+            return stats, rm1_weights(stats, self.query_terms(qid))
+        return stats, rm_conditional_weights(stats)
+
+    def lm_weights(self, docs: list[int]):
+        """One term-vector fetch for ``docs`` → lookup doc → its
+        L2-normalized LM-idf term weights (M6)."""
+        vecs = self.reader.term_vectors(docs)
+        return lambda d: lm_term_weights(vecs.get(d, {}),
+                                         self.reader.num_docs, self.reader.df)
+
+
+def _per_query(ds, op, index_dir: str, concurrency, queries=None, **kw):
+    """``op`` over every qid group of ``ds`` on a :class:`PerQueryStage`
+    pool; the queries and ``kw`` travel in one ``ray.put``."""
+    ref = ray.put({"queries": dict(queries or {}), **kw})
+    return ds.groupby("qid").map_groups(
+        PerQueryStage, batch_format="pandas", concurrency=concurrency,
+        num_cpus=0.5,
+        fn_constructor_kwargs=dict(index_dir=index_dir, op=op, args_ref=ref))
 
 
 def _topdocs_of(g: pd.DataFrame) -> list[tuple[int, float]]:
@@ -29,305 +101,285 @@ def _topdocs_of(g: pd.DataFrame) -> list[tuple[int, float]]:
     return list(zip(g["doc_id"].astype(int), g["score"].astype(float)))
 
 
-class FeedbackRerankStage:
-    """One qid group → KL-div-reranked run rows (RM1 or RM-conditional).
-
-    ``model``: "iid" | "conditional" (reference: fdbk/RelevanceModelIId vs
-    RelevanceModelConditional).
-    """
-
-    __name__ = "feedback_rerank"
-
-    def __init__(self, index_dir: str, queries_ref, model: str = "conditional",
-                 num_top_docs: int = RLM_NUM_TOP_DOCS,
-                 round_to: int | None = None):
-        self.reader = IndexReader(index_dir)
-        self.queries = ray.get(queries_ref)
-        from ..analysis import get_analyzer
-        st = self.reader.stats
-        self.analyzer = get_analyzer(
-            st["analyzer"], st.get("stopword_file"),
-            st.get("normalize_numbers", True) if st["analyzer"] == "english" else False)
-        self.model = model
-        self.num_top_docs = num_top_docs
-        # round_to: SQL-comparable mode — round scores and rank on
-        # (rounded desc, doc_id asc) instead of the reference's stable sort
-        # (whose tie order depends on float summation order)
-        self.round_to = round_to
-
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        qid = str(g["qid"].iloc[0])
-        topdocs = _topdocs_of(g)
-        vecs = self.reader.term_vectors([d for d, _ in topdocs])
-        stats = TopDocsTermStats(topdocs, vecs, self.num_top_docs)
-        if not stats.docvecs or stats.sum_tf == 0:
-            return g[["qid", "doc_id", "rank", "score"]]
-        if self.model == "iid":
-            qterms = self.analyzer(self.queries.get(qid, ""))
-            weights = rm1_weights(stats, qterms)
-        else:
-            weights = rm_conditional_weights(stats)
-        reranked = kldiv_rerank(stats, weights, topdocs)
-        if self.round_to is not None:
-            reranked = sorted(((d, round(s, self.round_to))
-                               for d, s in reranked),
-                              key=lambda x: (-x[1], x[0]))
-        return pd.DataFrame({
-            "qid": qid,
-            "doc_id": [d for d, _ in reranked],
-            "rank": np.arange(1, len(reranked) + 1, dtype=np.int64),
-            "score": [s for _, s in reranked],
-        })
+def _ranked(qid: str, scored, round_to: int | None) -> pd.DataFrame:
+    """(doc, score) pairs → run rows, ranked by score desc (stable), or with
+    ``round_to`` by (rounded score desc, doc_id asc): SQL-comparable, where
+    the stable order's ties depend on float summation order."""
+    if round_to is None:
+        scored = sorted(scored, key=lambda x: -x[1])
+    else:
+        scored = sorted(((d, round(s, round_to)) for d, s in scored),
+                        key=lambda x: (-x[1], x[0]))
+    return pd.DataFrame({
+        "qid": qid,
+        "doc_id": [d for d, _ in scored],
+        "rank": np.arange(1, len(scored) + 1, dtype=np.int64),
+        "score": [s for _, s in scored],
+    })
 
 
-class FdbkTermStatsStage:
-    """One qid group → the RM-conditional feedback-term weights themselves
-    (qid, term, weight), weight-descending — the reference's FdbkTermStats
-    dump (src/main/java/retrieval/FdbkTermStats.java:25-66,
-    printfdbkterms.sh): truncate the run to numTopDocs, fit
-    RelevanceModelConditional, print every term's wt sorted desc
-    (RetrievedDocTermInfo.compareTo:28-30).
+def _rerank_op(st, qid, g, model, num_top_docs, round_to):
+    """KL-div rerank under the RM fit (A4/A5)."""
+    topdocs = _topdocs_of(g)
+    stats, weights = st.rm_fit(qid, topdocs, model, num_top_docs)
+    if weights is None:
+        return g[["qid", "doc_id", "rank", "score"]]
+    return _ranked(qid, kldiv_rerank(stats, weights, topdocs), round_to)
 
-    ``round_to``: SQL-comparable mode — round weights and tie-break ties
-    (-weight, term); the reference's tie order is HashMap insertion order,
-    which is not deterministic across JVMs.
-    """
 
-    __name__ = "fdbk_term_stats"
+def _term_stats_op(st, qid, g, num_top_docs, round_to):
+    """The RM-conditional weights themselves, weight-descending. The
+    reference arraycopies the top numTopDocs BEFORE fitting; cutting here
+    also skips forward-index lookups past the cut."""
+    _, weights = st.rm_fit(qid, _topdocs_of(g)[:num_top_docs],
+                           "conditional", num_top_docs)
+    if weights is None:
+        return pd.DataFrame({"qid": pd.Series([], dtype=object),
+                             "term": pd.Series([], dtype=object),
+                             "weight": pd.Series([], dtype=np.float64)})
+    if round_to is None:
+        items = sorted(weights.items(), key=lambda x: -x[1])
+    else:
+        items = sorted(((t, round(w, round_to)) for t, w in weights.items()),
+                       key=lambda x: (-x[1], x[0]))
+    return pd.DataFrame({"qid": qid,
+                         "term": [t for t, _ in items],
+                         "weight": np.array([w for _, w in items],
+                                            np.float64)})
 
-    def __init__(self, index_dir: str,
-                 num_top_docs: int = RLM_NUM_TOP_DOCS,
-                 round_to: int | None = None):
-        self.reader = IndexReader(index_dir)
-        self.num_top_docs = num_top_docs
-        self.round_to = round_to
 
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        qid = str(g["qid"].iloc[0])
-        # the reference arraycopies the top numTopDocs BEFORE fitting —
-        # truncating here also skips forward-index lookups past the cut
-        topdocs = _topdocs_of(g)[: self.num_top_docs]
-        vecs = self.reader.term_vectors([d for d, _ in topdocs])
-        stats = TopDocsTermStats(topdocs, vecs, self.num_top_docs)
-        if not stats.docvecs or stats.sum_tf == 0:
-            return pd.DataFrame({"qid": pd.Series([], dtype=object),
-                                 "term": pd.Series([], dtype=object),
-                                 "weight": pd.Series([], dtype=np.float64)})
-        weights = rm_conditional_weights(stats)
-        items = list(weights.items())
-        if self.round_to is not None:
-            items = [(t, round(w, self.round_to)) for t, w in items]
-            items.sort(key=lambda x: (-x[1], x[0]))
-        else:
-            items.sort(key=lambda x: -x[1])
-        return pd.DataFrame({"qid": qid,
-                             "term": [t for t, _ in items],
-                             "weight": np.array([w for _, w in items],
-                                                np.float64)})
+def _expand_op(st, qid, g, model, num_terms, fb, round_to):
+    """RM3-expanded query (R5/A6): original terms at 1-fb, expansion terms
+    at fb·weight; the original query alone when the fit is empty."""
+    qterms = st.query_terms(qid)
+    _, weights = st.rm_fit(qid, _topdocs_of(g), model, RLM_NUM_TOP_DOCS)
+    if weights is None:
+        expanded = [(t, 1.0 - fb) for t in qterms]
+    else:
+        expanded = expand_query(weights, qterms, st.reader.num_docs,
+                                st.reader.df, num_terms, fb)
+    if round_to is not None:
+        expanded = [(t, round(b, round_to)) for t, b in expanded]
+    return pd.DataFrame({"qid": qid,
+                         "term": [t for t, _ in expanded],
+                         "boost": [b for _, b in expanded]})
+
+
+def _qpp_op(st, qid, g, k, methods, normalize_scores):
+    """One row of QPP estimates (A12-A16), rounded to 6 dp."""
+    topdocs = _topdocs_of(g)
+    if normalize_scores and topdocs:
+        # VariantSpecificity.normaliseScores (reference:
+        # qpp/VariantSpecificity.java:45-60, Constants.NORMALISE_SCORES):
+        # min-max over the WHOLE ranked list before the estimator.
+        # Deviation (flagged): max==min yields 0.0 here (the reference's
+        # float 0/0 would be NaN) — same convention as minmax_norm.
+        sc = np.array([s for _, s in topdocs])
+        lo, hi = float(sc.min()), float(sc.max())
+        sc = (sc - lo) / (hi - lo) if hi > lo else np.zeros_like(sc)
+        topdocs = [(d, float(s)) for (d, _), s in zip(topdocs, sc)]
+    scores = np.array([s for _, s in topdocs])
+    terms = st.query_terms(qid)
+    N, dfl = st.reader.num_docs, st.reader.df
+    estimators = {
+        "nqc": lambda: nqc(scores, k, terms, N, dfl),
+        "cumnqc": lambda: cumulative_nqc(scores, min(k, len(scores)), terms,
+                                         N, dfl),
+        "avgidf": lambda: avg_idf(terms, N, dfl),
+        "maxidf": lambda: max_idf(terms, N, dfl),
+        "rsd": lambda: rsd(topdocs, k, terms, N, dfl, qid=qid),
+        "uef": lambda: uef(topdocs, st.reader.term_vectors(
+            [d for d, _ in topdocs[:RLM_NUM_TOP_DOCS]]), k, terms, N, dfl,
+            qid=qid),
+    }
+    return pd.DataFrame([{"qid": qid, **{m: round(float(estimators[m]()), 6)
+                                         for m in methods}}])
+
+
+def _induced_op(st, qid, g, lam):
+    """LM-JM induced rescoring of the run (M10; reference:
+    qrels/RetrievedResults.java:51-96), ranked on the 6-dp score."""
+    topdocs = _topdocs_of(g)
+    vecs = st.reader.term_vectors([d for d, _ in topdocs])
+    rescored = induce_scores(topdocs, st.query_terms(qid),
+                             st.reader.num_docs, st.reader.df,
+                             lambda d: vecs.get(d, {}), lam)
+    return _ranked(qid, [(d, s) for d, _, s in rescored], 6)
+
+
+def _sparsevec_op(st, qid, g, k, k1=1.2, b=0.75, avgdl_const=57.25):
+    """(qid, doc_id, term, wt) rows of the top-k docs, with the reference's
+    own BM25 weight incl. its quirks (S9; reference:
+    indexing/SparseVecWriter.java:117-164, weight :29-38,157)."""
+    # imported here: the sources package imports ray.data
+    from ..sources.extra import sparsevec_bm25_weight
+    docs = [d for d, _ in _topdocs_of(g)[:k]]
+    vecs = st.reader.term_vectors(docs)
+    out_d, out_t, out_w = [], [], []
+    for doc in docs:
+        vec = vecs.get(doc, {})
+        dl = float(sum(vec.values()))
+        for term, tf in sorted(vec.items()):
+            out_d.append(doc)
+            out_t.append(term)
+            out_w.append(round(sparsevec_bm25_weight(
+                tf, st.reader.num_docs, st.reader.df(term), dl, k1, b,
+                avgdl_const), 6))
+    return pd.DataFrame({"qid": qid, "doc_id": out_d, "term": out_t,
+                         "wt": out_w})
+
+
+def _srlm_fit_op(st, qid, g):
+    """One query's rel docs → its (qterm, term, c) co-occurrence sums. The
+    A7 fit is additive over (query, rel doc) pairs, so one groupby-sum over
+    these tiny rows finishes the model (reference:
+    SupervisedRLM.java:151-200)."""
+    docs = [int(d) for d in g["doc_id"]]
+    part = SupervisedRLMModel()
+    part.fit({qid: st.queries.get(qid, "")}, {qid: docs}, st.lm_weights(docs))
+    return pd.DataFrame([(q, t, c) for q, dist in part.dists.items()
+                         for t, c in dist.items()],
+                        columns=["qterm", "term", "c"])
+
+
+def _srlm_rerank_op(st, qid, g, srlm, top_k, round_to):
+    """SRLM rerank of the top_k (SupervisedRLM.java:240-270)."""
+    topdocs = _topdocs_of(g)[:top_k]
+    return _ranked(qid, srlm.rerank(st.queries.get(qid, ""), topdocs,
+                                     st.lm_weights([d for d, _ in topdocs])),
+                   round_to)
+
+
+def _rocchio_op(st, qid, g, rel_map, top_k, round_to):
+    """Rocchio-expanded (qid, term, wt) rows (KNNRelModel.java:297-360;
+    the single KNN query is the query itself)."""
+    topdocs = [d for d, _ in _topdocs_of(g[g["rank"] >= 1])[:top_k]]
+    out = rocchio_expand(
+        st.queries.get(qid, "").split(), [(qid, 1.0)],
+        lambda q: set(rel_map.get(q) or ()), topdocs,
+        st.lm_weights(topdocs + list(rel_map.get(qid) or ())))
+    if round_to is not None:
+        out = [(t, round(w, round_to)) for t, w in out]
+    return pd.DataFrame({"qid": qid,
+                         "term": [t for t, _ in out],
+                         "wt": [w for _, w in out]})
 
 
 def fdbk_term_stats(run_ds, index_dir: str,
                     num_top_docs: int = RLM_NUM_TOP_DOCS,
                     concurrency=(1, 4), round_to: int | None = None):
-    """Distributed FdbkTermStats (the last reference entry point): one
-    actor-pool group pass over the run, forward-index state per actor."""
-    return run_ds.groupby("qid").map_groups(
-        FdbkTermStatsStage, batch_format="pandas", concurrency=concurrency,
-        num_cpus=0.5,
-        fn_constructor_kwargs=dict(index_dir=index_dir,
-                                   num_top_docs=num_top_docs,
-                                   round_to=round_to))
+    """Distributed FdbkTermStats (the last reference entry point): per
+    query, the RM-conditional feedback-term weights (qid, term, weight),
+    weight-descending (src/main/java/retrieval/FdbkTermStats.java:25-66,
+    printfdbkterms.sh; RetrievedDocTermInfo.compareTo:28-30).
 
-
-class ExpandQueryStage:
-    """One qid group → RM3-expanded query rows (qid, term, boost) (R5/A6)."""
-
-    __name__ = "expand_query"
-
-    def __init__(self, index_dir: str, queries_ref, model: str = "conditional",
-                 num_top_docs: int = RLM_NUM_TOP_DOCS, num_terms: int = 20,
-                 fb: float = 0.2, round_to: int | None = None):
-        self.inner = FeedbackRerankStage(index_dir, queries_ref, model,
-                                         num_top_docs)
-        self.num_terms = num_terms
-        self.fb = fb
-        self.round_to = round_to
-
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        self_ = self.inner
-        qid = str(g["qid"].iloc[0])
-        topdocs = _topdocs_of(g)
-        vecs = self_.reader.term_vectors([d for d, _ in topdocs])
-        stats = TopDocsTermStats(topdocs, vecs, self_.num_top_docs)
-        qterms = self_.analyzer(self_.queries.get(qid, ""))
-        if not stats.docvecs or stats.sum_tf == 0:
-            expanded = [(t, 1.0 - self.fb) for t in qterms]
-        else:
-            if self_.model == "iid":
-                weights = rm1_weights(stats, qterms)
-            else:
-                weights = rm_conditional_weights(stats)
-            expanded = expand_query(weights, qterms, self_.reader.num_docs,
-                                    self_.reader.df, self.num_terms, self.fb)
-        if self.round_to is not None:
-            expanded = [(t, round(b, self.round_to)) for t, b in expanded]
-        return pd.DataFrame({"qid": qid,
-                             "term": [t for t, _ in expanded],
-                             "boost": [b for _, b in expanded]})
-
-
-class QPPStage:
-    """One qid group → one row of QPP estimates (A12-A16)."""
-
-    __name__ = "qpp_stage"
-
-    def __init__(self, index_dir: str, queries_ref, k: int = 50,
-                 methods: tuple[str, ...] = ("nqc", "cumnqc", "avgidf",
-                                             "maxidf", "rsd", "uef"),
-                 normalize_scores: bool = False):
-        self.reader = IndexReader(index_dir)
-        self.queries = ray.get(queries_ref)
-        # VariantSpecificity.normaliseScores (reference:
-        # qpp/VariantSpecificity.java:45-60, Constants.NORMALISE_SCORES):
-        # min-max over the WHOLE ranked list before the estimator. Deviation
-        # (flagged): max==min yields 0.0 here (the reference's float 0/0
-        # would be NaN) — same convention as the minmax_norm operator.
-        self.normalize_scores = normalize_scores
-        from ..analysis import get_analyzer
-        st = self.reader.stats
-        self.analyzer = get_analyzer(
-            st["analyzer"], st.get("stopword_file"),
-            st.get("normalize_numbers", True) if st["analyzer"] == "english" else False)
-        self.k = k
-        self.methods = methods
-
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        qid = str(g["qid"].iloc[0])
-        topdocs = _topdocs_of(g)
-        if self.normalize_scores and topdocs:
-            sc = np.array([s for _, s in topdocs])
-            lo, hi = float(sc.min()), float(sc.max())
-            sc = (sc - lo) / (hi - lo) if hi > lo else np.zeros_like(sc)
-            topdocs = [(d, float(s)) for (d, _), s in zip(topdocs, sc)]
-        scores = np.array([s for _, s in topdocs])
-        terms = self.analyzer(self.queries.get(qid, ""))
-        N, dfl, k = self.reader.num_docs, self.reader.df, self.k
-        row: dict = {"qid": qid}
-        for m in self.methods:
-            if m == "nqc":
-                row[m] = nqc(scores, k, terms, N, dfl)
-            elif m == "cumnqc":
-                row[m] = cumulative_nqc(scores, min(k, len(scores)), terms, N, dfl)
-            elif m == "avgidf":
-                row[m] = avg_idf(terms, N, dfl)
-            elif m == "maxidf":
-                row[m] = max_idf(terms, N, dfl)
-            elif m == "rsd":
-                row[m] = rsd(topdocs, k, terms, N, dfl, qid=qid)
-            elif m == "uef":
-                vecs = self.reader.term_vectors(
-                    [d for d, _ in topdocs[:RLM_NUM_TOP_DOCS]])
-                row[m] = uef(topdocs, vecs, k, terms, N, dfl, qid=qid)
-        for key, v in row.items():
-            if key != "qid":
-                row[key] = round(float(v), 6)
-        return pd.DataFrame([row])
-
-
-class InducedRescoreStage:
-    """One qid group → LM-JM induced rescoring of the run (M10; reference:
-    qrels/RetrievedResults.java:51-96, λ=0.2). Ranks on the 6-dp-rounded
-    score with doc-id tie-break so results are SQL-comparable."""
-
-    __name__ = "induced_rescore"
-
-    def __init__(self, index_dir: str, queries_ref, lam: float = 0.2):
-        self.reader = IndexReader(index_dir)
-        self.queries = ray.get(queries_ref)
-        from ..analysis import get_analyzer
-        st = self.reader.stats
-        self.analyzer = get_analyzer(
-            st["analyzer"], st.get("stopword_file"),
-            st.get("normalize_numbers", True) if st["analyzer"] == "english" else False)
-        self.lam = lam
-
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        from ..fdbk.srlm import lmjm_weight
-        qid = str(g["qid"].iloc[0])
-        docs = g.sort_values("rank")["doc_id"].astype(int).tolist()
-        vecs = self.reader.term_vectors(docs)
-        qset = set(self.analyzer(self.queries.get(qid, "")))
-        N = self.reader.num_docs
-        rows = []
-        for doc in docs:
-            vec = vecs.get(doc, {})
-            dl = float(sum(vec.values()))
-            s = 0.0
-            for t in qset:
-                tf = vec.get(t)
-                df = self.reader.df(t) if tf else 0
-                if tf and df:
-                    s += lmjm_weight(tf, N, df, dl, self.lam)
-            rows.append((doc, round(s, 6)))
-        rows.sort(key=lambda x: (-x[1], x[0]))
-        return pd.DataFrame({
-            "qid": qid,
-            "doc_id": [d for d, _ in rows],
-            "rank": np.arange(1, len(rows) + 1, dtype=np.int64),
-            "score": [s for _, s in rows],
-        })
-
-
-class SparseVecTopDocsStage:
-    """One qid group → (qid, doc_id, term, wt) rows for its top-k docs, with
-    the reference's own BM25 weight incl. its quirks (S9; reference:
-    indexing/SparseVecWriter.java:117-164, weight :29-38,157)."""
-
-    __name__ = "sparsevec_topdocs"
-
-    def __init__(self, index_dir: str, k: int = 10, k1: float = 1.2,
-                 b: float = 0.75, avgdl_const: float = 57.25):
-        self.reader = IndexReader(index_dir)
-        self.k, self.k1, self.b = k, k1, b
-        self.avgdl_const = avgdl_const
-
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        from ..sources.extra import sparsevec_bm25_weight
-        qid = str(g["qid"].iloc[0])
-        docs = g.sort_values("rank").head(self.k)["doc_id"].astype(int).tolist()
-        vecs = self.reader.term_vectors(docs)
-        N = self.reader.num_docs
-        out_d, out_t, out_w = [], [], []
-        for doc in docs:
-            vec = vecs.get(doc, {})
-            dl = float(sum(vec.values()))
-            for term, tf in sorted(vec.items()):
-                df = self.reader.df(term)
-                w = sparsevec_bm25_weight(tf, N, df, dl, self.k1, self.b,
-                                          self.avgdl_const)
-                out_d.append(doc)
-                out_t.append(term)
-                out_w.append(round(w, 6))
-        return pd.DataFrame({"qid": qid, "doc_id": out_d, "term": out_t,
-                             "wt": out_w})
+    ``round_to``: SQL-comparable mode — round weights and break ties on
+    (-weight, term); the reference's tie order is HashMap insertion order,
+    which is not deterministic across JVMs."""
+    return _per_query(run_ds, _term_stats_op, index_dir, concurrency,
+                      num_top_docs=num_top_docs, round_to=round_to)
 
 
 def induced_rescore(run_ds, index_dir: str, queries: dict[str, str],
                     lam: float = 0.2, concurrency=(1, 4)):
-    qref = ray.put(dict(queries))
-    return run_ds.groupby("qid").map_groups(
-        InducedRescoreStage, batch_format="pandas", concurrency=concurrency,
-        num_cpus=0.5,
-        fn_constructor_kwargs=dict(index_dir=index_dir, queries_ref=qref,
-                                   lam=lam))
+    return _per_query(run_ds, _induced_op, index_dir, concurrency, queries,
+                      lam=lam)
 
 
 def sparsevec_topdocs(run_ds, index_dir: str, k: int = 10,
                       concurrency=(1, 4), **kw):
-    return run_ds.groupby("qid").map_groups(
-        SparseVecTopDocsStage, batch_format="pandas", concurrency=concurrency,
-        num_cpus=0.5,
-        fn_constructor_kwargs=dict(index_dir=index_dir, k=k, **kw))
+    return _per_query(run_ds, _sparsevec_op, index_dir, concurrency, k=k, **kw)
+
+
+def srlm_fit(rel_pairs_ds, index_dir: str, queries: dict[str, str],
+             prune_to: int | None = None, concurrency=(1, 4)):
+    """Distributed SRLM fit: rel pairs → per-query contributions →
+    (qterm, term) sum. The finished model (vocab × ≤num-qterms, tiny) is
+    collected on the driver. Returns a SupervisedRLMModel."""
+    from ray.data.aggregate import Sum
+
+    contrib = _per_query(rel_pairs_ds, _srlm_fit_op, index_dir, concurrency,
+                         queries)
+    agg = contrib.groupby(["qterm", "term"]).aggregate(
+        Sum("c", alias_name="wt")).to_pandas()
+    model = SupervisedRLMModel()
+    # 9dp rounding: the distributed Sum's float order differs from any
+    # serial fit; rounding makes the model (and its pruned top-k) identical
+    # across parallelism levels and reproducible by the SQL oracle
+    for q, t, w in zip(agg["qterm"], agg["term"], agg["wt"]):
+        model.dists.setdefault(q, {})[t] = round(float(w), 9)
+    if prune_to is not None:
+        model.prune(prune_to)
+    return model
+
+
+def srlm_rerank_pipeline(run_ds, index_dir: str, queries: dict[str, str],
+                         rel_pairs_ds, top_k: int = 50,
+                         prune_to: int | None = 5, round_to: int | None = None,
+                         concurrency=(1, 4)):
+    """Full SRLM path as Ray stages: distributed fit over the rel pairs,
+    broadcast of the pruned model, then per-query rerank groups.
+    ``round_to`` ranks on (rounded score desc, doc_id asc) for SQL parity."""
+    model = srlm_fit(rel_pairs_ds, index_dir, queries, prune_to=prune_to,
+                     concurrency=concurrency)
+    return _per_query(run_ds, _srlm_rerank_op, index_dir, concurrency,
+                      queries, srlm=model, top_k=top_k, round_to=round_to)
+
+
+def rocchio_pipeline(run_ds, index_dir: str, queries: dict[str, str],
+                     rel_map: dict[str, list], top_k: int = 20,
+                     round_to: int | None = None, concurrency=(1, 4)):
+    import ray.data as rd
+    # Rocchio is defined even for queries with an empty ranked list (the rel
+    # accumulator still contributes); a rank=0 placeholder row per query
+    # guarantees each query forms a group, and the op drops it. The map
+    # after the union gives every block one format: the groupby sort
+    # rejects a mix of Arrow (a retrieve() run) and pandas blocks.
+    ph = rd.from_items(
+        [{"qid": str(q), "doc_id": -1, "rank": 0, "score": 0.0}
+         for q in queries],
+        override_num_blocks=max(1, len(queries)))
+    run_ds = run_ds.union(ph).map_batches(lambda df: df,
+                                          batch_format="pandas")
+    return _per_query(run_ds, _rocchio_op, index_dir, concurrency, queries,
+                      rel_map={str(k): list(v) for k, v in rel_map.items()},
+                      top_k=top_k, round_to=round_to)
+
+
+def feedback_rerank(run_ds, index_dir: str, queries: dict[str, str],
+                    model: str = "conditional",
+                    num_top_docs: int = RLM_NUM_TOP_DOCS, concurrency=(1, 4),
+                    round_to: int | None = None):
+    """KL-div rerank of each query's run under an RM fit. ``model``: "iid"
+    or "conditional" (reference: fdbk/RelevanceModelIId vs
+    RelevanceModelConditional). ``round_to``: SQL-comparable mode — round
+    scores and rank on (rounded desc, doc_id asc) instead of the
+    reference's stable sort (whose tie order depends on float summation
+    order)."""
+    return _per_query(run_ds, _rerank_op, index_dir, concurrency, queries,
+                      model=model, num_top_docs=num_top_docs,
+                      round_to=round_to)
+
+
+def expand_queries(run_ds, index_dir: str, queries: dict[str, str],
+                   model: str = "conditional", num_terms: int = 20,
+                   fb: float = 0.2, concurrency=(1, 4),
+                   round_to: int | None = None):
+    """RM3-expanded query rows (qid, term, boost) per query (R5/A6)."""
+    return _per_query(run_ds, _expand_op, index_dir, concurrency, queries,
+                      model=model, num_terms=num_terms, fb=fb,
+                      round_to=round_to)
+
+
+def qpp_estimates(run_ds, index_dir: str, queries: dict[str, str], k: int = 50,
+                  methods: tuple[str, ...] = ("nqc", "cumnqc", "avgidf",
+                                              "maxidf", "rsd", "uef"),
+                  concurrency=(1, 4), normalize_scores: bool = False):
+    """One row of QPP estimates per query; ``normalize_scores`` min-max
+    normalizes each ranked list first (the variant-specificity mode)."""
+    return _per_query(run_ds, _qpp_op, index_dir, concurrency, queries, k=k,
+                      methods=tuple(methods),
+                      normalize_scores=normalize_scores)
 
 
 class _LmDocWeightStage:
@@ -412,226 +464,3 @@ def lm_doc_weights(index_dir: str, concurrency=(1, 8)):
         _LmDocWeightStage, batch_format="pandas", batch_size=1,
         concurrency=concurrency,
         fn_constructor_kwargs=dict(df_ref=df_ref, num_docs=num_docs))
-
-
-class _SrlmFitStage:
-    """One qid group of (qid, doc_id) rel pairs → per-(qterm, term)
-    co-occurrence contributions (A7 fit is additive over (query, rel-doc)
-    pairs, so partial sums shuffle as tiny rows and one groupby finishes
-    the model — reference: SupervisedRLM.java:151-200)."""
-
-    __name__ = "srlm_fit"
-
-    def __init__(self, index_dir: str, queries_ref):
-        self.reader = IndexReader(index_dir)
-        self.queries = ray.get(queries_ref)
-
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        from ..fdbk.srlm import lm_term_weights
-        qid = str(g["qid"].iloc[0])
-        qtext = self.queries.get(qid, "")
-        docs = [int(d) for d in g["doc_id"]]
-        vecs = self.reader.term_vectors(docs)
-        out_q, out_t, out_c = [], [], []
-        # reference fit whitespace-splits the raw query text (duplicates
-        # update the same dist twice — kept)
-        for doc in docs:
-            wts = lm_term_weights(vecs.get(doc, {}), self.reader.num_docs,
-                                  self.reader.df)
-            for q in qtext.split():
-                p_q_d = wts.get(q, 0.0)
-                if p_q_d == 0.0:
-                    continue
-                for w, p_w_d in wts.items():
-                    c = p_q_d * p_w_d
-                    if c > 0:
-                        out_q.append(q)
-                        out_t.append(w)
-                        out_c.append(c)
-        return pd.DataFrame({"qterm": out_q, "term": out_t, "c": out_c})
-
-
-def srlm_fit(rel_pairs_ds, index_dir: str, queries: dict[str, str],
-             prune_to: int | None = None, concurrency=(1, 4)):
-    """Distributed SRLM fit: rel pairs → per-query contributions →
-    (qterm, term) sum. The finished model (vocab × ≤num-qterms, tiny) is
-    collected on the driver. Returns a SupervisedRLMModel."""
-    from ray.data.aggregate import Sum
-
-    from ..fdbk.srlm import SupervisedRLMModel
-    qref = ray.put(dict(queries))
-    contrib = rel_pairs_ds.groupby("qid").map_groups(
-        _SrlmFitStage, batch_format="pandas", concurrency=concurrency,
-        num_cpus=0.5,
-        fn_constructor_kwargs=dict(index_dir=index_dir, queries_ref=qref))
-    agg = contrib.groupby(["qterm", "term"]).aggregate(
-        Sum("c", alias_name="wt")).to_pandas()
-    model = SupervisedRLMModel()
-    # 9dp rounding: the distributed Sum's float order differs from any
-    # serial fit; rounding makes the model (and its pruned top-k) identical
-    # across parallelism levels and reproducible by the SQL oracle
-    for q, t, w in zip(agg["qterm"], agg["term"], agg["wt"]):
-        model.dists.setdefault(q, {})[t] = round(float(w), 9)
-    if prune_to is not None:
-        model.prune(prune_to)
-    return model
-
-
-class _SrlmRerankStage:
-    """One qid run group → SRLM-reranked rows (SupervisedRLM.java:240-270).
-    ``round_to`` ranks on (rounded score desc, doc_id asc) for SQL parity."""
-
-    __name__ = "srlm_rerank"
-
-    def __init__(self, index_dir: str, queries_ref, dists_ref,
-                 top_k: int = 50, round_to: int | None = None):
-        self.reader = IndexReader(index_dir)
-        self.queries = ray.get(queries_ref)
-        self.dists = ray.get(dists_ref)
-        self.top_k = top_k
-        self.round_to = round_to
-
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        from ..fdbk.srlm import cosine_sim, lm_term_weights
-        qid = str(g["qid"].iloc[0])
-        topdocs = _topdocs_of(g)[: self.top_k]
-        vecs = self.reader.term_vectors([d for d, _ in topdocs])
-        qterms = self.queries.get(qid, "").split()
-        out = []
-        for doc, score in topdocs:
-            wts = None
-            p_r_d = 0.0
-            for q in qterms:
-                dist = self.dists.get(q)
-                if dist is not None:
-                    if wts is None:
-                        wts = lm_term_weights(vecs.get(doc, {}),
-                                              self.reader.num_docs,
-                                              self.reader.df)
-                    p_r_d += cosine_sim(dist, wts)
-            out.append((doc, p_r_d * score))
-        if self.round_to is not None:
-            out = sorted(((d, round(s, self.round_to)) for d, s in out),
-                         key=lambda x: (-x[1], x[0]))
-        else:
-            out = sorted(out, key=lambda x: -x[1])
-        return pd.DataFrame({
-            "qid": qid,
-            "doc_id": [d for d, _ in out],
-            "rank": np.arange(1, len(out) + 1, dtype=np.int64),
-            "score": [s for _, s in out]})
-
-
-def srlm_rerank_pipeline(run_ds, index_dir: str, queries: dict[str, str],
-                         rel_pairs_ds, top_k: int = 50,
-                         prune_to: int | None = 5, round_to: int | None = None,
-                         concurrency=(1, 4)):
-    """Full SRLM path as Ray stages: distributed fit over the rel pairs,
-    broadcast of the pruned model, then per-query rerank groups."""
-    model = srlm_fit(rel_pairs_ds, index_dir, queries, prune_to=prune_to,
-                     concurrency=concurrency)
-    qref = ray.put(dict(queries))
-    dref = ray.put(model.dists)
-    return run_ds.groupby("qid").map_groups(
-        _SrlmRerankStage, batch_format="pandas", concurrency=concurrency,
-        num_cpus=0.5,
-        fn_constructor_kwargs=dict(index_dir=index_dir, queries_ref=qref,
-                                   dists_ref=dref, top_k=top_k,
-                                   round_to=round_to))
-
-
-class _RocchioStage:
-    """One qid run group → Rocchio-expanded (qid, term, wt) rows
-    (KNNRelModel.java:297-360; single KNN query = the query itself here)."""
-
-    __name__ = "rocchio_expand"
-
-    def __init__(self, index_dir: str, queries_ref, rel_ref,
-                 top_k: int = 20, round_to: int | None = None):
-        self.reader = IndexReader(index_dir)
-        self.queries = ray.get(queries_ref)
-        self.rel_map = ray.get(rel_ref)
-        self.top_k = top_k
-        self.round_to = round_to
-
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        from ..fdbk.srlm import lm_term_weights, rocchio_expand
-        qid = str(g["qid"].iloc[0])
-        g = g[g["rank"] >= 1]                     # drop presence placeholders
-        topdocs = [int(d) for d in
-                   g.sort_values("rank")["doc_id"].head(self.top_k)]
-        rel = self.rel_map.get(qid) or []
-        needed = sorted(set(topdocs) | set(rel))
-        vecs = self.reader.term_vectors(needed)
-        out = rocchio_expand(
-            self.queries.get(qid, "").split(), [(qid, 1.0)],
-            lambda q: set(self.rel_map.get(q) or ()), topdocs,
-            lambda d: lm_term_weights(vecs.get(d, {}), self.reader.num_docs,
-                                      self.reader.df))
-        if self.round_to is not None:
-            out = [(t, round(w, self.round_to)) for t, w in out]
-        return pd.DataFrame({"qid": qid,
-                             "term": [t for t, _ in out],
-                             "wt": [w for _, w in out]})
-
-
-def rocchio_pipeline(run_ds, index_dir: str, queries: dict[str, str],
-                     rel_map: dict[str, list], top_k: int = 20,
-                     round_to: int | None = None, concurrency=(1, 4)):
-    import ray.data as rd
-    qref = ray.put(dict(queries))
-    rref = ray.put({str(k): list(v) for k, v in rel_map.items()})
-    # Rocchio is defined even for queries with an empty ranked list (the rel
-    # accumulator still contributes); a rank=0 placeholder row per query
-    # guarantees each query forms a group, and the stage drops it.
-    ph = rd.from_items(
-        [{"qid": str(q), "doc_id": -1, "rank": 0, "score": 0.0}
-         for q in queries],
-        override_num_blocks=max(1, len(queries))) \
-        .map_batches(lambda df: df, batch_format="pandas")
-    run_ds = run_ds.union(ph)
-    return run_ds.groupby("qid").map_groups(
-        _RocchioStage, batch_format="pandas", concurrency=concurrency,
-        num_cpus=0.5,
-        fn_constructor_kwargs=dict(index_dir=index_dir, queries_ref=qref,
-                                   rel_ref=rref, top_k=top_k,
-                                   round_to=round_to))
-
-
-def feedback_rerank(run_ds, index_dir: str, queries: dict[str, str],
-                    model: str = "conditional",
-                    num_top_docs: int = RLM_NUM_TOP_DOCS, concurrency=(1, 4),
-                    round_to: int | None = None):
-    qref = ray.put(dict(queries))
-    return run_ds.groupby("qid").map_groups(
-        FeedbackRerankStage, batch_format="pandas", concurrency=concurrency,
-        num_cpus=0.5,
-        fn_constructor_kwargs=dict(index_dir=index_dir, queries_ref=qref,
-                                   model=model, num_top_docs=num_top_docs,
-                                   round_to=round_to))
-
-
-def expand_queries(run_ds, index_dir: str, queries: dict[str, str],
-                   model: str = "conditional", num_terms: int = 20,
-                   fb: float = 0.2, concurrency=(1, 4),
-                   round_to: int | None = None):
-    qref = ray.put(dict(queries))
-    return run_ds.groupby("qid").map_groups(
-        ExpandQueryStage, batch_format="pandas", concurrency=concurrency,
-        num_cpus=0.5,
-        fn_constructor_kwargs=dict(index_dir=index_dir, queries_ref=qref,
-                                   model=model, num_terms=num_terms, fb=fb,
-                                   round_to=round_to))
-
-
-def qpp_estimates(run_ds, index_dir: str, queries: dict[str, str], k: int = 50,
-                  methods: tuple[str, ...] = ("nqc", "cumnqc", "avgidf",
-                                              "maxidf", "rsd", "uef"),
-                  concurrency=(1, 4), normalize_scores: bool = False):
-    qref = ray.put(dict(queries))
-    return run_ds.groupby("qid").map_groups(
-        QPPStage, batch_format="pandas", concurrency=concurrency,
-        num_cpus=0.5,
-        fn_constructor_kwargs=dict(index_dir=index_dir, queries_ref=qref,
-                                   k=k, methods=methods,
-                                   normalize_scores=normalize_scores))

@@ -58,6 +58,7 @@ class IndexReader:
         Arrow buffers) instead of re-reading and re-decoding the parquet
         per actor. On a multi-node cluster this is the broadcast pattern:
         one object-store copy per node, not one decode per actor.
+        ``preload=True`` reads the same tables in-process.
 
         ``salt``: read only that doc bucket — its ``segments/shard=*/salt=B``
         dirs and its doc-length rows — with doc ids local to the bucket
@@ -94,7 +95,8 @@ class IndexReader:
         if preload_ref is not None:
             import ray
             seg_tbl, meta_tbl = ray.get(preload_ref)
-            preload = False
+        elif preload:
+            seg_tbl, meta_tbl = preload_tables(index_dir)
         self._load_doc_lens(meta_tbl)
         self._cache: dict[str, TermPostings | None] = {}
         self._decoded: dict[str, tuple] = {}
@@ -105,12 +107,9 @@ class IndexReader:
         self._contrib: dict[tuple, tuple] = {}
         self._contrib_bytes = 0
         self._contrib_budget = 256 << 20
-        self._preloaded = False
-        if preload:
-            self._preload_all()
-        elif seg_tbl is not None:
+        self._preloaded = seg_tbl is not None
+        if self._preloaded:
             self._rows_to_cache(seg_tbl)
-            self._preloaded = True
 
     # --- doc lengths (dense array) ---
     def _load_doc_lens(self, t: pa.Table | None = None) -> None:
@@ -145,12 +144,6 @@ class IndexReader:
     def _rows_to_cache(self, tbl: pa.Table) -> None:
         for term, runs in segment_runs(tbl).items():
             self._cache[term] = concat_runs(runs)
-
-    def _preload_all(self) -> None:
-        seg = os.path.join(self.index_dir, "segments")
-        if os.path.isdir(seg):
-            self._rows_to_cache(pads.dataset(seg).to_table())
-        self._preloaded = True
 
     def prefetch(self, terms: list[str]) -> None:
         """Batched fetch of missing terms: one term-filtered read over the
@@ -375,9 +368,8 @@ class SearchStage:
                                   preload_ref=preload_ref, salt=salt,
                                   global_stats=global_stats)
         st = self.reader.stats
-        self.analyzer = get_analyzer(
-            st["analyzer"], st.get("stopword_file"),
-            st.get("normalize_numbers", True) if st["analyzer"] == "english" else False)
+        self.analyzer = get_analyzer(st["analyzer"], st.get("stopword_file"),
+                                     st.get("normalize_numbers", True))
         self.scorer = make_scorer(scorer, **scorer_kw)
         self.k = k
 

@@ -67,15 +67,12 @@ class TokenizeStage:
     stage at sf0.001)."""
 
     def __init__(self, cfg: EngineConfig, text_col: str = "text",
-                 id_col: str = "doc_id", key_col: str | None = None,
-                 hash_content: bool = True) -> None:
+                 id_col: str = "doc_id", key_col: str | None = None) -> None:
         self.analyzer = get_analyzer(cfg.analyzer, cfg.stopword_file,
-                                     cfg.normalize_numbers if cfg.analyzer == "english"
-                                     else False)
+                                     cfg.normalize_numbers)
         self.text_col = text_col
         self.id_col = id_col
         self.key_col = key_col
-        self.hash_content = hash_content
         self.num_shards = cfg.num_shards
         self.salt_bucket = cfg.salt_docs_per_bucket
         self.fwd_bucket = cfg.fwd_docs_per_bucket
@@ -104,8 +101,7 @@ class TokenizeStage:
                 counts[t] = counts.get(t, 0) + 1
             dl = len(terms)
             m_dl[i] = dl
-            m_sha.append(hashlib.sha256(text.encode("utf-8")).hexdigest()
-                         if self.hash_content else "")
+            m_sha.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
             if counts:
                 k = len(counts)
                 p_terms.extend(counts.keys())
@@ -134,12 +130,9 @@ class TokenizeStage:
 
         # batch lineage summary (kind=l): XOR of the per-row sha256 digests
         # (order-independent; vectorized over one bulk hex decode) + counts
-        if self.hash_content and n_docs:
-            digests = np.frombuffer(bytes.fromhex("".join(m_sha)),
-                                    dtype=np.uint8).reshape(n_docs, 32)
-            xor_hex = np.bitwise_xor.reduce(digests, axis=0).tobytes().hex()
-        else:
-            xor_hex = "00" * 32
+        digests = np.frombuffer(bytes.fromhex("".join(m_sha)),
+                                dtype=np.uint8).reshape(n_docs, 32)
+        xor_hex = np.bitwise_xor.reduce(digests, axis=0).tobytes().hex()
         l_dlsum = int(m_dl.astype(np.int64).sum())
 
         return pa.Table.from_arrays(

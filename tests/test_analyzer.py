@@ -67,3 +67,7 @@ def test_whitespace_and_simple():
     assert WhitespaceAnalyzer()("Foo bar  baz") == ["Foo", "bar", "baz"]
     assert SimpleAnalyzer()("Foo bar-baz 7x") == ["foo", "bar", "baz", "7x"]
     assert get_analyzer("simple") is get_analyzer("simple")
+    # stop list and number normalization are english-only: an index's
+    # settings pass through unchanged and do not alter the other chains
+    assert get_analyzer("simple", None, True) is get_analyzer("simple")
+    assert get_analyzer("whitespace", "x.txt", True)("a 7") == ["a", "7"]

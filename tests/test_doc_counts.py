@@ -50,10 +50,13 @@ def test_rows_only_gates_are_named_in_readme():
 
 
 # the paper's engine: build, append, compaction, BM25/LM-Dirichlet top-1000,
-# term statistics and the evaluation metrics
+# term statistics and the evaluation metrics; plus the feedback gates kept
+# in tier (a), whose per-query stage is shared by the whole feedback/QPP
+# family
 PAPER_CORE_GATES = {
     "index_compact", "index_append", "bm25_topk", "bm25_topk_sharded",
     "bm25_topk_ref_params", "lmdir_topk", "term_stats", "eval_metrics",
+    "fdbk_term_stats", "fdbk_rerank", "rm3_expand", "rocchio_expand",
 }
 
 
