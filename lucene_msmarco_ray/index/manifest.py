@@ -15,22 +15,9 @@ Per the north rule we do real checkpointing (SURVEY.md I7):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Any
-
-
-def combine_hashes(hex_hashes: list[str]) -> str:
-    """Order-independent combination of per-row sha256 hex digests: XOR of the
-    digests (commutative/associative), then sha256 of the result. Stable under
-    any partitioning / parallelism of the rows."""
-    acc = bytearray(32)
-    for h in hex_hashes:
-        raw = bytes.fromhex(h)
-        for i in range(32):
-            acc[i] ^= raw[i]
-    return hashlib.sha256(bytes(acc)).hexdigest()
 
 
 class Manifest:

@@ -47,14 +47,6 @@ HASH_BASE2 = 137             # second family for simhash bits 31..61
 _SPACE = 32                  # ord(' ') — shingle join character
 
 
-def poly_hash_str(s: str, base: int = HASH_BASE) -> int:
-    """Scalar reference implementation (tests / oracles)."""
-    h = 0
-    for ch in s:
-        h = (h * base + ord(ch)) % M31
-    return h
-
-
 def _poly_hashes(strings: list[str], base: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized rolling hash of many strings → (hashes, lengths).
 

@@ -1089,7 +1089,6 @@ def _df_counts_ds(ds, text_col: str):
     floor(ln(N/df)·1e6 + 0.5)`` — the repo's fixed-point log convention,
     replayed exactly by the SQL oracle."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     def df_partial(batch: pa.Table) -> pa.Table:
         flat, counts = _flat_tokens(batch[text_col])

@@ -48,6 +48,41 @@ RUN_SCHEMA = pa.schema([
 ])
 
 
+# (hits per query, doc ids, scores) of no queries: what
+# SearchStage.search returns for an empty batch
+NO_HITS = (np.empty(0, np.int64), np.empty(0, np.int64),
+           np.empty(0, np.float64))
+
+
+def term_source(batch: pa.Table) -> tuple[str, list]:
+    """A query batch's term source as a plain list: its ``terms`` lists
+    when the table has that column (pre-analyzed queries), else its
+    ``text`` strings."""
+    col = "terms" if "terms" in batch.column_names else "text"
+    return col, batch[col].to_pylist()
+
+
+def run_table(qids: list, lens: np.ndarray, doc_ids: np.ndarray,
+              scores: np.ndarray) -> pa.Table:
+    """The one builder of run tables: ``lens[i]`` rows of ``qids[i]``
+    (stringified as ``str(qid)``), in order, ranked 1..lens[i]. The qid
+    column repeats one index per query into the distinct qid strings, so
+    no per-row Python string is made."""
+    lens = np.asarray(lens, np.int64)
+    names = pa.array([str(q) for q in qids], pa.string())
+    qid_col = pa.DictionaryArray.from_arrays(
+        np.repeat(np.arange(len(names), dtype=np.int32), lens),
+        names).cast(pa.string())
+    starts = np.repeat(np.cumsum(lens) - lens, lens)
+    rank = np.arange(1, starts.size + 1) - starts
+    return pa.Table.from_arrays([
+        qid_col,
+        pa.array(doc_ids, pa.int64()),
+        pa.array(rank.astype(np.int32)),
+        pa.array(scores, pa.float64()),
+    ], schema=RUN_SCHEMA)
+
+
 class IndexReader:
     def __init__(self, index_dir: str, preload: bool = False,
                  preload_ref=None, salt: int | None = None,
@@ -358,6 +393,9 @@ class SearchStage:
     ``queries.map_batches(SearchStage, fn_constructor_kwargs=..., concurrency=A)``.
     ``salt``/``global_stats`` open a one-bucket reader (see
     :class:`IndexReader`); the returned doc ids are global either way.
+    :meth:`search` is the scoring core (term lists → numpy arrays);
+    ``__call__`` wraps it in :func:`run_table`, and ``SearcherPool``'s
+    actors call it directly (search/service.py).
     """
 
     def __init__(self, index_dir: str, scorer: str = "bm25", k: int = 1000,
@@ -374,15 +412,23 @@ class SearchStage:
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch["qid"].to_pylist()
-        if "terms" in batch.column_names:
-            term_lists = batch["terms"].to_pylist()
-        else:
-            term_lists = [self.analyzer(t) for t in batch["text"].to_pylist()]
+        return run_table(batch["qid"].to_pylist(),
+                         *self.search(self.term_lists(*term_source(batch))))
+
+    def term_lists(self, col: str, values: list) -> list[list[str]]:
+        """A batch's term source (see :func:`term_source`) → one term list
+        per query: ``terms`` pass through, ``text`` is analyzed."""
+        return values if col == "terms" else [self.analyzer(t) for t in values]
+
+    def search(self, term_lists: list[list[str]]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Term lists → (hits per query int64, doc ids int64, scores
+        float64): each query's hits in rank order, queries in input
+        order."""
         self.reader.prefetch([t for ts in term_lists for t in ts])
-        out_qid: list[str] = []
-        out_doc, out_rank, out_score = [], [], []
-        for qid, terms in zip(qids, term_lists):
+        lens = np.zeros(len(term_lists), np.int64)
+        out_doc, out_score = [NO_HITS[1]], [NO_HITS[2]]   # typed if empty
+        for i, terms in enumerate(term_lists):
             # bag-of-terms query: duplicate terms score once per occurrence
             # (Lucene BooleanQuery of SHOULD TermQuery clauses — reference:
             # src/main/java/retrieval/MsMarcoQuery.java:74-83)
@@ -391,17 +437,10 @@ class SearchStage:
                                             self.scorer)
             if self.reader.doc_base:
                 docs = docs + self.reader.doc_base
-            n = len(docs)
-            out_qid.extend([str(qid)] * n)
+            lens[i] = docs.size
             out_doc.append(docs)
-            out_rank.append(np.arange(1, n + 1, dtype=np.int32))
             out_score.append(scores)
-        return pa.Table.from_arrays([
-            pa.array(out_qid, type=pa.string()),
-            pa.array(np.concatenate(out_doc) if out_doc else np.empty(0, np.int64)),
-            pa.array(np.concatenate(out_rank) if out_rank else np.empty(0, np.int32)),
-            pa.array(np.concatenate(out_score) if out_score else np.empty(0, np.float64)),
-        ], schema=RUN_SCHEMA)
+        return lens, np.concatenate(out_doc), np.concatenate(out_score)
 
 
 def actor_pool_kwargs(concurrency: int | tuple[int, int],

@@ -11,9 +11,18 @@ single broadcast preload (one driver decode + one object-store copy;
 actors map zero-copy plasma views). Every query set after the first
 runs at steady-state throughput.
 
-Results are bit-identical to ``retrieve`` on the same index/scorer
-(test-enforced): the actors wrap the very same
-:class:`~.searcher.SearchStage`.
+Wire format: plain Python in, numpy out. The driver sends each batch's
+term source as a plain list (``searcher.term_source``: the ``text``
+strings, or the ``terms`` lists of a pre-analyzed table) and the actor
+returns ``SearchStage.search``'s triple (hits per query, doc ids, scores)
+as numpy arrays; no ``pa.Table`` crosses the wire. The driver concatenates
+the triples and builds the run table once per query set with
+``searcher.run_table`` — the one run-table builder, which
+``SearchStage.__call__`` (``retrieve()``, ``retrieve_sharded()``) uses
+too, so results are bit-identical to ``retrieve`` on the same
+index/scorer (test-enforced). Building a 1000-row table with one Python
+qid string per row in the actor, then pickling it back, cost more than
+scoring the query.
 
 Scale notes: the pool is query-partitioned (each actor holds the WHOLE
 index) — the right topology while the per-actor footprint fits DRAM;
@@ -25,10 +34,12 @@ outstanding calls so a giant query table cannot queue unbounded futures.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import ray
 
-from .searcher import RUN_SCHEMA, SearchStage, preload_tables
+from .searcher import (NO_HITS, SearchStage, preload_tables, run_table,
+                       term_source)
 
 
 @ray.remote
@@ -41,8 +52,11 @@ class _SearcherActor:
         self.stage = SearchStage(index_dir, scorer=scorer, k=k,
                                  preload_ref=ref_box[0], **scorer_kw)
 
-    def search(self, tbl: pa.Table) -> pa.Table:
-        return self.stage(tbl)
+    def search(self, col: str, values: list
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One batch's term source (``term_source``) → (hits per query,
+        doc ids, scores)."""
+        return self.stage.search(self.stage.term_lists(col, values))
 
     def ping(self) -> bool:
         return True
@@ -71,24 +85,19 @@ class SearcherPool:
     def query(self, queries: pa.Table, batch_size: int = 64,
               inflight_per_actor: int = 4) -> pa.Table:
         """(qid, text) table → run table (qid, doc_id, rank, score), rows
-        grouped per query in submission order within each batch."""
-        n = queries.num_rows
+        grouped per query in submission order."""
+        col, values = term_source(queries)
         max_inflight = inflight_per_actor * len(self.actors)
         futs: list = []
-        out: list[pa.Table] = []
-        for bi, lo in enumerate(range(0, n, batch_size)):
+        out: list = [NO_HITS]     # typed arrays for an empty query set too
+        for bi, lo in enumerate(range(0, len(values), batch_size)):
             if len(futs) >= max_inflight:
                 out.append(ray.get(futs.pop(0)))
             actor = self.actors[bi % len(self.actors)]
-            futs.append(actor.search.remote(
-                queries.slice(lo, min(batch_size, n - lo))))
+            futs.append(actor.search.remote(col, values[lo:lo + batch_size]))
         out.extend(ray.get(futs))
-        parts = [t for t in out if t.num_rows]
-        if not parts:
-            # typed empty result — same schema as retrieve(), so callers
-            # treating the pool as a drop-in never hit a schema mismatch
-            return RUN_SCHEMA.empty_table()
-        return pa.concat_tables(parts)
+        return run_table(queries["qid"].to_pylist(),
+                         *map(np.concatenate, zip(*out)))
 
     def shutdown(self) -> None:
         for a in self.actors:

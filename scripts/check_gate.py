@@ -16,10 +16,11 @@ def to_pandas(res):
     import pyarrow as pa
     try:
         import ray.data as rd
-        if isinstance(res, rd.Dataset):
-            return res.to_pandas()
-    except Exception:
-        pass
+    except ImportError:
+        rd = None
+    # outside the try: a failure while the Dataset runs keeps its own type
+    if rd is not None and isinstance(res, rd.Dataset):
+        return res.to_pandas()
     if isinstance(res, pa.Table):
         return res.to_pandas()
     if isinstance(res, pd.DataFrame):

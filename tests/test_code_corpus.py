@@ -11,7 +11,7 @@ import pytest
 
 from lucene_msmarco_ray.config import EngineConfig
 from lucene_msmarco_ray.index.build import build_index
-from lucene_msmarco_ray.index.manifest import Manifest, combine_hashes
+from lucene_msmarco_ray.index.manifest import Manifest
 from lucene_msmarco_ray.search.scoring import BM25Scorer
 from lucene_msmarco_ray.search.searcher import IndexReader, score_query_taat
 from lucene_msmarco_ray.sources.corpus import read_code_corpus
@@ -77,6 +77,16 @@ def test_salted_build_matches_bruteforce(salted_index, corpus_files):
         tp = r.get_term(t)
         exp_df = sum(1 for toks in all_tokens if t in toks)
         assert (tp.df if tp else 0) == exp_df
+
+
+def combine_hashes(hex_hashes: list[str]) -> str:
+    """Oracle for a partition's lineage sha: XOR of the per-row sha256
+    digests (order-independent), then sha256 of the result."""
+    acc = bytearray(32)
+    for h in hex_hashes:
+        for i, byte in enumerate(bytes.fromhex(h)):
+            acc[i] ^= byte
+    return hashlib.sha256(bytes(acc)).hexdigest()
 
 
 def test_lineage_sha_matches_content(salted_index, corpus_files):

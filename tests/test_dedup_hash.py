@@ -17,8 +17,16 @@ from lucene_msmarco_ray.ops.dedup import (
     _SimHashStage,
     _tokenize_batch,
     minhash_params,
-    poly_hash_str,
 )
+
+
+def poly_hash_str(s: str, base: int = HASH_BASE) -> int:
+    """Scalar oracle of the rolling hash: h = h·base + codepoint mod M31."""
+    h = 0
+    for ch in s:
+        h = (h * base + ord(ch)) % M31
+    return h
+
 
 TEXTS = ["the quick brown fox jumps", "hi there", "single", "", "a b c",
          "the quick brown fox jumps over the lazy dog", "x  y", "ünïcödé tökens"]

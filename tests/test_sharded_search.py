@@ -125,21 +125,11 @@ ray.shutdown()
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_searcher_pool_matches_retrieve_and_reuses(ray_session,
-                                                   tmp_path_factory):
-    """The persistent serving pool returns BIT-identical runs to the
-    Dataset retrieve() path, answers a second query set on the same
-    (warm) actors, caps in-flight futures, and shuts down cleanly."""
-    import pyarrow as pa
-    import ray
-    import ray.data as rd
-
-    from lucene_msmarco_ray.config import EngineConfig
-    from lucene_msmarco_ray.index.build import build_index
-    from lucene_msmarco_ray.search.searcher import retrieve
-    from lucene_msmarco_ray.search.service import SearcherPool
+@pytest.fixture(scope="module")
+def pool_index(ray_session, tmp_path_factory):
+    """A 300-doc synthetic code corpus, english analyzer, 4 term shards."""
     from lucene_msmarco_ray.sources.corpus import read_code_corpus
-    from lucene_msmarco_ray.synth import generate_corpus, generate_queries
+    from lucene_msmarco_ray.synth import generate_corpus
 
     d = tmp_path_factory.mktemp("svc")
     files = generate_corpus(300, seed=17, n_files=2, out_dir=str(d))
@@ -147,14 +137,28 @@ def test_searcher_pool_matches_retrieve_and_reuses(ray_session,
     build_index(read_code_corpus(files), idx,
                 EngineConfig(analyzer="english", num_shards=4),
                 text_col="content", id_col="doc_id", key_col="doc_key")
+    return idx
 
-    qtbl = generate_queries(40, seed=11)
-    want = retrieve(rd.from_arrow(qtbl), idx, scorer="bm25", k=20,
-                    k1=0.7, b=0.3, concurrency=2,
-                    preload=True).to_pandas() \
+
+def _retrieve_canon(tbl, idx, k=20):
+    import ray.data as rd
+
+    from lucene_msmarco_ray.search.searcher import retrieve
+    return retrieve(rd.from_arrow(tbl), idx, scorer="bm25", k=k, k1=0.7,
+                    b=0.3, concurrency=2, preload=True).to_pandas() \
         .sort_values(["qid", "rank"]).reset_index(drop=True)
 
-    pool = SearcherPool(idx, n_actors=2, scorer="bm25", k=20,
+
+def test_searcher_pool_matches_retrieve_and_reuses(pool_index):
+    """The persistent serving pool returns BIT-identical runs to the
+    Dataset retrieve() path, answers a second query set on the same
+    (warm) actors, caps in-flight futures, and shuts down cleanly."""
+    from lucene_msmarco_ray.search.service import SearcherPool
+    from lucene_msmarco_ray.synth import generate_queries
+
+    qtbl = generate_queries(40, seed=11)
+    want = _retrieve_canon(qtbl, pool_index)
+    pool = SearcherPool(pool_index, n_actors=2, scorer="bm25", k=20,
                         num_cpus=0.5, k1=0.7, b=0.3)
     try:
         got = pool.query(qtbl, batch_size=7).to_pandas() \
@@ -162,10 +166,7 @@ def test_searcher_pool_matches_retrieve_and_reuses(ray_session,
         pd.testing.assert_frame_equal(got, want)   # bit-identical scores
         # same pool, different query set (the serving case)
         q2 = generate_queries(25, seed=23)
-        want2 = retrieve(rd.from_arrow(q2), idx, scorer="bm25", k=20,
-                         k1=0.7, b=0.3, concurrency=2,
-                         preload=True).to_pandas() \
-            .sort_values(["qid", "rank"]).reset_index(drop=True)
+        want2 = _retrieve_canon(q2, pool_index)
         got2 = pool.query(q2, batch_size=3, inflight_per_actor=1) \
             .to_pandas().sort_values(["qid", "rank"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got2, want2)
@@ -174,24 +175,13 @@ def test_searcher_pool_matches_retrieve_and_reuses(ray_session,
     assert pool.actors == []
 
 
-def test_searcher_pool_empty_queries_typed_schema(ray_session,
-                                                  tmp_path_factory):
+def test_searcher_pool_empty_queries_typed_schema(pool_index):
     import pyarrow as pa
 
-    from lucene_msmarco_ray.config import EngineConfig
-    from lucene_msmarco_ray.index.build import build_index
     from lucene_msmarco_ray.search.searcher import RUN_SCHEMA
     from lucene_msmarco_ray.search.service import SearcherPool
-    from lucene_msmarco_ray.sources.corpus import read_code_corpus
-    from lucene_msmarco_ray.synth import generate_corpus
-
-    d = tmp_path_factory.mktemp("svce")
-    files = generate_corpus(60, seed=3, n_files=1, out_dir=str(d))
-    idx = str(tmp_path_factory.mktemp("svceidx") / "idx")
-    build_index(read_code_corpus(files), idx,
-                EngineConfig(analyzer="english", num_shards=2),
-                text_col="content", id_col="doc_id", key_col="doc_key")
-    pool = SearcherPool(idx, n_actors=1, scorer="bm25", k=5, num_cpus=0.5)
+    pool = SearcherPool(pool_index, n_actors=1, scorer="bm25", k=5,
+                        num_cpus=0.5)
     try:
         empty = pa.table({"qid": pa.array([], pa.string()),
                           "text": pa.array([], pa.string())})
@@ -199,3 +189,69 @@ def test_searcher_pool_empty_queries_typed_schema(ray_session,
         assert out.schema.equals(RUN_SCHEMA) and out.num_rows == 0
     finally:
         pool.shutdown()
+
+
+# batch_size=3: zero-hit queries sit mid-batch (1, 7) and at a batch's end
+# (5, 8); 3 repeats a term; 4 mixes non-ASCII text with a hitting term
+EDGE_TEXTS = ["return index search", "", "merge partition value",
+              "wife wife jojav", "ünïcödé café — index", "the and of to",
+              "zowuz wabub kofot", "zzxqjv unseen_term_xq", "the of"]
+
+
+@pytest.mark.parametrize("shape", ["text", "int-qid", "terms"])
+def test_searcher_pool_edge_queries_match_retrieve(pool_index, shape):
+    """Zero-hit, duplicate-term and non-ASCII queries, integer qids and a
+    pre-analyzed ``terms`` column: the pool's run equals retrieve()'s."""
+    import pyarrow as pa
+
+    from lucene_msmarco_ray.search.searcher import SearchStage
+    from lucene_msmarco_ray.search.service import SearcherPool
+    qids = list(range(101, 101 + len(EDGE_TEXTS)))
+    if shape == "text":
+        tbl = pa.table({"qid": [str(q) for q in qids], "text": EDGE_TEXTS})
+    elif shape == "int-qid":
+        tbl = pa.table({"qid": pa.array(qids, pa.int64()),
+                        "text": EDGE_TEXTS})
+    else:
+        analyze = SearchStage(pool_index, preload=True).analyzer
+        terms = [analyze(t) for t in EDGE_TEXTS]
+        terms[6] = ["zzxqjv", "zzxqjv"]      # absent, repeated
+        tbl = pa.table({"qid": [str(q) for q in qids], "terms": terms})
+    want = _retrieve_canon(tbl, pool_index)
+    pool = SearcherPool(pool_index, n_actors=2, scorer="bm25", k=20,
+                        num_cpus=0.5, k1=0.7, b=0.3)
+    try:
+        run = pool.query(tbl, batch_size=3)
+    finally:
+        pool.shutdown()
+    # rows come grouped per query, in submission order
+    seen = dict.fromkeys(run["qid"].to_pylist())
+    assert list(seen) == [q for q in map(str, qids) if q in seen]
+    got = run.to_pandas().sort_values(["qid", "rank"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want)   # bit-identical scores
+    per_q = got.groupby("qid").size()
+    assert sorted(per_q.index) == ["101", "103", "104", "105"]
+    assert per_q["101"] == 20
+
+
+def test_searcher_pool_shutdown_leaves_no_process(pool_index):
+    """Every actor process is gone within 30 s of ``shutdown()``."""
+    import os
+    import time
+
+    import ray
+
+    from lucene_msmarco_ray.search.service import SearcherPool
+    pool = SearcherPool(pool_index, n_actors=2, scorer="bm25", k=5,
+                        num_cpus=0.5)
+    pids = ray.get([a.__ray_call__.remote(lambda self: os.getpid())
+                    for a in pool.actors])
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    pool.shutdown()
+    stop = time.monotonic() + 30
+
+    def alive():
+        return [p for p in pids if os.path.exists(f"/proc/{p}")]
+    while alive() and time.monotonic() < stop:
+        time.sleep(0.1)
+    assert not alive()
