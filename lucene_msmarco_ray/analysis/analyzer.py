@@ -17,6 +17,12 @@ Reproduces the reference's term identity (SURVEY.md §1.2):
 Analyzers are plain callables ``str -> list[str]``; construct once per worker
 (module-level singletons via :func:`get_analyzer` or in an actor ``__init__``,
 SURVEY.md T6) so regexes/stem caches are reused across batches.
+
+Each analyzer also declares ``separators``: the ASCII chars ``c`` at which a
+split provably cannot change its output, ``an(a + c + b) == an(a) + an(b)``
+for all ``a``, ``b`` (checked in ``tests/test_analyzer.py``). The tokenize
+stage splits a batch's text bytes at these chars and analyzes each distinct
+piece once.
 """
 
 from __future__ import annotations
@@ -39,12 +45,23 @@ _WORD_RE = re.compile(r"\w+(?:'\w+)*", re.UNICODE)
 _POSSESSIVE_RE = re.compile(r"'s$")
 
 
+def _ascii_except(pattern: str) -> str:
+    """The ASCII chars that do not match ``pattern``."""
+    return "".join(c for c in map(chr, range(128)) if not re.match(pattern, c))
+
+
 def normalize_numbers(text: str) -> str:
     return _NUM_RE.sub(" _NUM_ ", text)
 
 
 class EnglishAnalyzer:
     """lowercase → tokenize → strip possessive → stop-remove → Porter stem."""
+
+    # Not neutral: word chars and ``'`` (tokens span them), ``-`` and ``.``
+    # (the number regex spans them), and the case-ignorable ``:``, ``^``
+    # and backtick: ``str.lower`` looks across those for a final sigma
+    # (``"ΑΣ:Β"`` → ``ασ``, but ``"ΑΣ"`` alone → ``ας``).
+    separators = _ascii_except(r"[\w'\-.:^`]")
 
     def __init__(self, stopword_file: str | None = None,
                  normalize_nums: bool = True) -> None:
@@ -75,6 +92,8 @@ class WhitespaceAnalyzer:
     """Pure whitespace split; no case folding (Lucene WhitespaceAnalyzer
     semantics — the reference's fallback path, MsMarcoIndexer.java:27-28)."""
 
+    separators = "".join(c for c in map(chr, range(128)) if c.isspace())
+
     def __call__(self, text: str) -> list[str]:
         return text.split()
 
@@ -83,6 +102,9 @@ class SimpleAnalyzer:
     """lowercase + word split — semantics expressible in ANSI SQL, used for
     the DuckDB oracle gate (string_split on single spaces matches because the
     fixture corpus is single-space separated; general text uses the regex)."""
+
+    # lowercasing maps no char outside [0-9A-Za-z_] into the token class
+    separators = _ascii_except(r"[0-9A-Za-z_]")
 
     def __init__(self) -> None:
         self._re = re.compile(r"[0-9a-z_]+")

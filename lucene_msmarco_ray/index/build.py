@@ -47,6 +47,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
+from ray.data.datasource import FilenameProvider, SaveMode
 
 from ..config import EngineConfig
 from ..stages.tokenize import GKEY_SALT_SPAN, TokenizeStage
@@ -282,6 +283,17 @@ def _staged_dirs(out_dir: str, kind: str) -> list[str]:
     )
 
 
+class _FirstDocName(FilenameProvider):
+    """Names a staged file after the first ``doc_id`` of the block it is
+    written from, not the write's uuid: the staged tree's paths follow from
+    its content, so two builds of the same corpus write the same paths.
+    Blocks of one partition hold disjoint docs, so names do not collide."""
+
+    def get_filename_for_block(self, block, write_uuid, task_index,
+                               block_index) -> str:
+        return f"doc{block['doc_id'][0].as_py()}.parquet"
+
+
 def stage_tokenize_partition(out_dir: str, man: Manifest, pid: str, ds,
                              cfg: EngineConfig, *, text_col: str,
                              id_col: str, key_col: str | None,
@@ -300,11 +312,19 @@ def stage_tokenize_partition(out_dir: str, man: Manifest, pid: str, ds,
         TokenizeStage(cfg, text_col=text_col, id_col=id_col, key_col=key_col),
         batch_format="pyarrow", batch_size=cfg.tokenize_batch_size,
         concurrency=cfg.tokenize_concurrency)
+    # batches form from input blocks in arrival order; fixing that order
+    # fixes the staged files' names and rows (the context is the one ``ds``
+    # was made with, so this also orders any later run of ``ds``)
+    tok.context.execution_options.preserve_order = True
     # NOTE: no min_rows_per_file here — it makes the Write operator
     # coalesce blocks into a couple of giant single-threaded parquet
     # encodes (measured 40s vs 6s at 200k docs); file granularity is
     # already governed by the upstream block size (one per row group)
-    tok.write_parquet(tmp_dir, partition_cols=["kind", "gkey"])
+    # OVERWRITE only allows names without the write uuid: ``tmp_dir`` was
+    # just removed, so there is nothing for it to replace
+    tok.write_parquet(tmp_dir, partition_cols=["kind", "gkey"],
+                      filename_provider=_FirstDocName(),
+                      mode=SaveMode.OVERWRITE)
     os.replace(tmp_dir, part_dir)
     # lineage + partition stats from the kind=l summary rows the
     # tokenize stage emitted (one per batch): the driver folds a few

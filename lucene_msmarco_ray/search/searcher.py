@@ -472,6 +472,14 @@ def actor_pool_kwargs(concurrency: int | tuple[int, int],
     return kw, hi
 
 
+def _query_blocks(queries_ds, n_blocks: int):
+    """``queries_ds`` cut into ``n_blocks`` blocks, or one block per query
+    if there are fewer queries: a block with no rows would make an empty
+    search task (and Ray Data warns of its empty schema)."""
+    queries_ds = queries_ds.materialize()
+    return queries_ds.repartition(max(min(n_blocks, queries_ds.count()), 1))
+
+
 def retrieve(queries_ds, index_dir: str, *, scorer: str = "bm25", k: int = 1000,
              concurrency: int | tuple[int, int] = (1, 8), batch_size: int = 64,
              preload: bool = False, actor_num_cpus: float | None = None,
@@ -486,7 +494,7 @@ def retrieve(queries_ds, index_dir: str, *, scorer: str = "bm25", k: int = 1000,
     one task on one actor regardless of pool size. 8 blocks per actor keeps
     the pool load-balanced (per-query cost varies ~2x with term weight)."""
     pool_kw, hi = actor_pool_kwargs(concurrency, actor_num_cpus)
-    queries_ds = queries_ds.repartition(max(8 * hi, 8))
+    queries_ds = _query_blocks(queries_ds, 8 * hi)
     preload_ref = None
     if preload and hi > 1:
         # one driver-side read + object-store broadcast instead of every

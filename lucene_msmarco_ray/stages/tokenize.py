@@ -15,15 +15,22 @@ sha256 equality"); per-partition lineage is derived from these row hashes in
 
 Stateful setup (analyzer: stop set, stem cache, compiled regexes) happens once
 per worker via the callable-class pattern; work happens per batch in
-``__call__`` (SURVEY.md T6).
+``__call__`` (SURVEY.md T6). Python touches the batch's vocabulary, not each
+token: the batch's text bytes are split in numpy at the analyzer's neutral
+separators (``analysis.analyzer``), the analyzer runs once per distinct
+piece (cached across batches as int term codes), and the (doc, term) counts,
+doc lengths and crc32 shards are array operations over those codes.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
+from zlib import crc32
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..analysis import get_analyzer
 from ..config import EngineConfig
@@ -70,6 +77,10 @@ class TokenizeStage:
                  id_col: str = "doc_id", key_col: str | None = None) -> None:
         self.analyzer = get_analyzer(cfg.analyzer, cfg.stopword_file,
                                      cfg.normalize_numbers)
+        # read here, not per batch: a traced run swaps ``self.analyzer`` for
+        # a plain function after __init__, and __call__ only ever calls it
+        self._in_piece = np.ones(256, bool)     # by UTF-8 byte
+        self._in_piece[[ord(c) for c in self.analyzer.separators]] = False
         self.text_col = text_col
         self.id_col = id_col
         self.key_col = key_col
@@ -77,83 +88,140 @@ class TokenizeStage:
         self.salt_bucket = cfg.salt_docs_per_bucket
         self.fwd_bucket = cfg.fwd_docs_per_bucket
         self.emit_fwd = cfg.emit_fwd
-        self._shard_cache: dict[str, int] = {}
+        # analysis results cached across batches as int term codes; code 0
+        # is "", the term column's value on meta and lineage rows
+        self._piece_codes: dict[str, tuple[int, ...]] = {}
+        self._term_code = {"": 0}
+        self._terms = pa.array([""], pa.string())
+        self._shards = np.zeros(1, np.int64)   # crc32 shard per term code
+
+    def _analyze_pieces(self, pieces: list[str]) -> list[tuple[int, ...]]:
+        """Term codes of each piece; analyzes only pieces never seen before
+        and gives each new term a code and its crc32 shard."""
+        cache, term_code = self._piece_codes, self._term_code
+        new: list[str] = []
+        out = []
+        for piece in pieces:
+            codes = cache.get(piece)
+            if codes is None:
+                codes = []
+                for t in self.analyzer(piece):
+                    c = term_code.get(t)
+                    if c is None:
+                        c = term_code[t] = len(term_code)
+                        new.append(t)
+                    codes.append(c)
+                codes = cache[piece] = tuple(codes)
+            out.append(codes)
+        if new:
+            self._terms = pa.concat_arrays([self._terms,
+                                            pa.array(new, pa.string())])
+            self._shards = np.append(self._shards, np.array(
+                [crc32(t.encode("utf-8")) for t in new]) % self.num_shards)
+        return out
+
+    def _split(self, raw: np.ndarray, starts: np.ndarray
+               ) -> tuple[pa.Array, np.ndarray]:
+        """Split UTF-8 bytes ``raw`` (docs beginning at byte ``starts``) at
+        the separator bytes: the non-empty pieces, and each one's doc.
+        Separators are ASCII, and an ASCII byte is never part of a
+        multi-byte UTF-8 char, so every piece is valid UTF-8."""
+        keep = self._in_piece.take(raw)
+        edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+        begin, end = edges[0::2], edges[1::2]
+        # a run of kept bytes across a doc boundary is two pieces
+        cut = np.unique(starts[(starts > 0) & (starts < len(raw))])
+        cut = cut[keep[cut] & keep[cut - 1]]
+        begin = np.insert(begin, np.searchsorted(begin, cut), cut)
+        end = np.insert(end, np.searchsorted(end, cut), cut)
+        offsets = np.zeros(len(begin) + 1, np.int64)
+        np.cumsum(end - begin, out=offsets[1:])
+        pieces = pa.Array.from_buffers(
+            pa.large_string(), len(begin),
+            [None, pa.py_buffer(offsets), pa.py_buffer(raw[keep])])
+        per_doc = np.diff(np.searchsorted(begin, starts), append=len(begin))
+        return pieces, np.repeat(np.arange(len(starts)), per_doc)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_col].to_pylist()
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        keys = (batch[self.key_col].to_pylist() if self.key_col
-                else [str(i) for i in ids])
+        text = batch[self.text_col].combine_chunks().cast(pa.large_string())
+        if text.null_count:
+            raise ValueError(f"column {self.text_col!r} has null texts")
+        ids = batch[self.id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        keys = (batch[self.key_col] if self.key_col
+                else batch[self.id_col]).combine_chunks().cast(pa.string())
+        n_docs = len(text)
+        _, offs_buf, data_buf = text.buffers()
+        offs = np.frombuffer(offs_buf, np.int64)[
+            text.offset:text.offset + n_docs + 1]
+        raw = (np.frombuffer(data_buf, np.uint8)[offs[0]:offs[-1]]
+               if data_buf is not None else np.empty(0, np.uint8))
+        starts = offs[:-1] - offs[0]
 
-        analyzer = self.analyzer
-        n_docs = len(texts)
-        p_terms: list[str] = []
-        p_docs: list[np.ndarray] = []
-        p_tfs: list[np.ndarray] = []
-        p_dls: list[np.ndarray] = []
-        m_dl = np.empty(n_docs, dtype=np.int32)
-        m_sha: list[str] = []
+        # split at the analyzer's neutral separators: a doc's terms are the
+        # concatenation of its pieces' terms, so each distinct piece of the
+        # batch is analyzed once (and never again in a later batch)
+        pieces, piece_doc = self._split(raw, starts)
+        enc = pc.dictionary_encode(pieces)
+        piece_codes = self._analyze_pieces(enc.dictionary.to_pylist())
+        lens = np.fromiter(map(len, piece_codes), np.int64, len(piece_codes))
+        flat = np.fromiter(chain.from_iterable(piece_codes), np.int64,
+                           int(lens.sum()))
 
-        for i, text in enumerate(texts):
-            terms = analyzer(text)
-            counts: dict[str, int] = {}
-            for t in terms:
-                counts[t] = counts.get(t, 0) + 1
-            dl = len(terms)
-            m_dl[i] = dl
-            m_sha.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
-            if counts:
-                k = len(counts)
-                p_terms.extend(counts.keys())
-                p_tfs.append(np.fromiter(counts.values(), dtype=np.int32, count=k))
-                p_docs.append(np.full(k, ids[i], dtype=np.int64))
-                p_dls.append(np.full(k, dl, dtype=np.int32))
+        # expand piece occurrences to term occurrences (in text order)
+        occ = enc.indices.to_numpy(zero_copy_only=False)
+        occ_len = lens[occ]
+        shift = (np.cumsum(lens) - lens)[occ] - (np.cumsum(occ_len) - occ_len)
+        codes = flat[np.repeat(shift, occ_len) + np.arange(occ_len.sum())]
+        doc = np.repeat(piece_doc, occ_len)
+        m_dl = np.bincount(doc, minlength=n_docs).astype(np.int32)
 
-        np_docs = np.concatenate(p_docs) if p_docs else np.empty(0, np.int64)
-        np_tfs = np.concatenate(p_tfs) if p_tfs else np.empty(0, np.int32)
-        np_dls = np.concatenate(p_dls) if p_dls else np.empty(0, np.int32)
-        npost = len(p_terms)
+        # one posting per (doc, term), in order of first occurrence in the doc
+        span = len(self._term_code)
+        pairs, first, tfs = np.unique(doc * span + codes, return_index=True,
+                                      return_counts=True)
+        order = np.argsort(first)
+        pairs = pairs[order]
+        p_doc, p_code = pairs // span, pairs % span
+        np_docs = ids[p_doc]
+        np_tfs = tfs[order].astype(np.int32)
+        np_dls = m_dl[p_doc]
+        npost = len(pairs)
 
-        # gkey: crc32-shard per unique term (cached across batches) + doc salt
-        from zlib import crc32
-        cache = self._shard_cache
-        shards = np.empty(npost, np.int64)
-        for i, t in enumerate(p_terms):
-            s = cache.get(t)
-            if s is None:
-                s = crc32(t.encode("utf-8")) % self.num_shards
-                cache[t] = s
-            shards[i] = s
-        gkey = shards * GKEY_SALT_SPAN + np_docs // self.salt_bucket
+        gkey = self._shards[p_code] * GKEY_SALT_SPAN + np_docs // self.salt_bucket
         nf = npost if self.emit_fwd else 0   # forward-index copies (kind=f)
         fkey = (np_docs // self.fwd_bucket)[:nf]
 
         # batch lineage summary (kind=l): XOR of the per-row sha256 digests
         # (order-independent; vectorized over one bulk hex decode) + counts
+        mv = memoryview(raw)
+        m_sha = [hashlib.sha256(mv[a:b]).hexdigest() for a, b in
+                 zip(starts.tolist(), (offs[1:] - offs[0]).tolist())]
         digests = np.frombuffer(bytes.fromhex("".join(m_sha)),
                                 dtype=np.uint8).reshape(n_docs, 32)
         xor_hex = np.bitwise_xor.reduce(digests, axis=0).tobytes().hex()
         l_dlsum = int(m_dl.astype(np.int64).sum())
 
+        # string columns by ``take``: postings rows index the term codes;
+        # the other rows index [meta rows' values, lineage value, ""]
+        meta_rows = np.concatenate([np.full(npost + nf, n_docs + 1),
+                                    np.arange(n_docs + 1)])
         return pa.Table.from_arrays(
             [
-                pa.array([POSTINGS_KIND] * npost + [FWD_KIND] * nf
-                         + [META_KIND] * n_docs + [LINEAGE_KIND]),
+                pa.array([POSTINGS_KIND, FWD_KIND, META_KIND, LINEAGE_KIND])
+                .take(np.repeat(np.arange(4), [npost, nf, n_docs, 1])),
                 pa.array(np.concatenate([gkey, fkey,
                                          np.full(n_docs + 1, -1, np.int64)])),
-                pa.array(p_terms + p_terms[:nf] + [""] * (n_docs + 1),
-                         type=pa.string()),
-                pa.array(np.concatenate([np_docs, np_docs[:nf],
-                                         ids.astype(np.int64),
+                self._terms.take(np.concatenate(
+                    [p_code, p_code[:nf], np.zeros(n_docs + 1, np.int64)])),
+                pa.array(np.concatenate([np_docs, np_docs[:nf], ids,
                                          np.array([l_dlsum], np.int64)])),
                 pa.array(np.concatenate([np_tfs, np_tfs[:nf],
                                          np.zeros(n_docs, np.int32),
                                          np.array([n_docs], np.int32)])),
                 pa.array(np.concatenate([np_dls, np_dls[:nf], m_dl,
                                          np.zeros(1, np.int32)])),
-                pa.array([""] * (npost + nf) + keys + [""], type=pa.string()),
-                pa.array([""] * (npost + nf) + m_sha + [xor_hex],
-                         type=pa.string()),
+                pa.concat_arrays([keys, pa.array(["", ""])]).take(meta_rows),
+                pa.array(m_sha + [xor_hex, ""]).take(meta_rows),
             ],
             schema=STAGED_SCHEMA,
         )

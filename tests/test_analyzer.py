@@ -2,6 +2,8 @@
 (reference: src/main/java/retrieval/NumberReplacementTest.java:4-13) plus
 Porter-spec examples from the published paper."""
 
+import pytest
+
 from lucene_msmarco_ray.analysis import (
     EnglishAnalyzer,
     SimpleAnalyzer,
@@ -10,6 +12,7 @@ from lucene_msmarco_ray.analysis import (
     normalize_numbers,
     stem,
 )
+from lucene_msmarco_ray.analysis.analyzer import _REGISTRY
 
 
 def test_normalize_numbers_rule():
@@ -71,3 +74,39 @@ def test_whitespace_and_simple():
     # settings pass through unchanged and do not alter the other chains
     assert get_analyzer("simple", None, True) is get_analyzer("simple")
     assert get_analyzer("whitespace", "x.txt", True)("a 7") == ["a", "7"]
+
+
+# Strings that probe every context an analyzer step looks at: final sigma,
+# lowercasing that changes length (İ) or maps into ASCII (Kelvin sign),
+# non-ASCII whitespace (NBSP) and str.split's \x1c, Unicode digits for the
+# number regex, apostrophes, number shapes, combining marks and emoji.
+NEUTRALITY_FUZZ = [
+    "", "a", "Dog", "\u0391\u03a3", "\u03a3\u0391", "\u03a3", "\u03c3",
+    "\u0130", "\u0130x", "\u212a", "x\u212a", "a\xa0b", "\xa0", "\x1c",
+    "a\x1cb", "\u0663", "\u0663.\u0665", "''", "'", "it's", "dog's", "'s",
+    "3.14", "-5.", "-", ".", "1e5", "e\u0301", "\u0301", "\U0001f642",
+    "a\U0001f642b", "the", "running", "_NUM_", "x_y", "Stra\xdfe", "\u01c5",
+]
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_separators_are_neutral(name):
+    """Splitting at any declared separator never changes the analyzer's
+    output: the tokenize stage analyzes the pieces between separators and
+    concatenates their terms."""
+    an = get_analyzer(name)
+    assert an.separators and all(ord(c) < 128 for c in an.separators)
+    bad = [(a, c, b) for c in an.separators
+           for a in NEUTRALITY_FUZZ for b in NEUTRALITY_FUZZ
+           if an(a + c + b) != an(a) + an(b)]
+    assert not bad, bad[:10]
+
+
+def test_english_separators_exclude_context_chars():
+    """``:`` (case-ignorable: final sigma looks across it) and ``.`` (the
+    number regex spans it) are not neutral for english, so neither may be
+    added to its separator class."""
+    an = get_analyzer("english")
+    assert an("ΑΣ:Β") != an("ΑΣ") + an("Β")
+    assert an("3.14") != an("3") + an("14")
+    assert ":" not in an.separators and "." not in an.separators

@@ -73,14 +73,22 @@ def test_cli_build_search_evaluate(corpus_dir, tmp_path):
     assert len(out_lines) > 4
 
 
+def _tree_files(root: str) -> dict[str, str]:
+    """relative path → sha256 of every file under ``root``."""
+    import hashlib
+    return {os.path.relpath(os.path.join(d, f), root):
+            hashlib.sha256(open(os.path.join(d, f), "rb").read()).hexdigest()
+            for d, _, fs in os.walk(root) for f in fs}
+
+
 def test_parallelism_determinism(corpus_dir, tmp_path):
     """Same build at num_cpus=1 and num_cpus=4 → identical segment CONTENT,
     the same segment files byte for byte (same relative paths, same
-    sha256) and identical retrieval output (SURVEY.md §5e)."""
-    import hashlib
+    sha256) and identical retrieval output (SURVEY.md §5e). Two builds at
+    the same CPU count also write the same staged files byte for byte."""
     outs = {}
-    for n in (1, 4):
-        idx = str(tmp_path / f"idx{n}")
+    for run, n in enumerate((1, 4, 4)):
+        idx = str(tmp_path / f"idx{run}")
         env = dict(os.environ, PYTHONPATH=REPO)
         code = f"""
 import ray, json
@@ -103,27 +111,25 @@ ray.shutdown()
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, env=env, cwd=REPO, timeout=420)
         assert r.returncode == 0, r.stderr[-2000:]
-        outs[n] = json.loads(r.stdout.strip().splitlines()[-1])
+        outs[run] = json.loads(r.stdout.strip().splitlines()[-1])
         # segment content identical: compare sorted (term, df, cf) triples
         import glob
 
         import pyarrow.dataset as pads
         seg = pads.dataset(os.path.join(idx, "segments")).to_table(
             columns=["term", "df", "cf", "doc_bytes", "tf_bytes"])
-        outs[f"seg{n}"] = sorted(zip(seg["term"].to_pylist(),
+        outs[f"seg{run}"] = sorted(zip(seg["term"].to_pylist(),
                                      seg["df"].to_pylist(),
                                      seg["cf"].to_pylist(),
                                      seg["doc_bytes"].to_pylist(),
                                      seg["tf_bytes"].to_pylist()))
-        seg_dir = os.path.join(idx, "segments")
-        outs[f"files{n}"] = {
-            os.path.relpath(os.path.join(root, f), seg_dir):
-                hashlib.sha256(open(os.path.join(root, f), "rb").read())
-                .hexdigest()
-            for root, _, fs in os.walk(seg_dir) for f in fs}
-    assert outs[1] == outs[4]
-    assert outs["seg1"] == outs["seg4"]
-    assert outs["files1"] and outs["files1"] == outs["files4"]
+        outs[f"files{run}"] = _tree_files(os.path.join(idx, "segments"))
+        outs[f"staged{run}"] = _tree_files(os.path.join(idx, "staged"))
+    for run in (1, 2):
+        assert outs[0] == outs[run]
+        assert outs["seg0"] == outs[f"seg{run}"]
+        assert outs["files0"] and outs["files0"] == outs[f"files{run}"]
+    assert outs["staged1"] and outs["staged1"] == outs["staged2"]
 
 
 def test_cli_curate(ray_session, tmp_path):

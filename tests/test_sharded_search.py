@@ -175,6 +175,30 @@ def test_searcher_pool_matches_retrieve_and_reuses(pool_index):
     assert pool.actors == []
 
 
+def test_retrieve_small_query_set_has_no_empty_blocks(pool_index):
+    """11 queries on a pool of 2 actors (16 blocks wanted): the query set
+    is cut into one block per query, none empty, and the run equals the
+    in-process searcher's."""
+    import ray.data as rd
+
+    from lucene_msmarco_ray.search.searcher import (
+        SearchStage, _query_blocks, retrieve)
+    from lucene_msmarco_ray.synth import generate_queries
+
+    qtbl = generate_queries(11, seed=29).slice(2)     # 11 of its 13 rows
+    blocks = _query_blocks(rd.from_arrow(qtbl), 16).materialize()
+    rows = [m.num_rows for bundle in blocks.iter_internal_ref_bundles()
+            for _, m in bundle.blocks]
+    assert rows == [1] * 11
+    run = retrieve(rd.from_arrow(qtbl), pool_index, scorer="bm25", k=20,
+                   k1=0.7, b=0.3, concurrency=2)
+    want = SearchStage(pool_index, k=20, k1=0.7, b=0.3)(qtbl).to_pandas() \
+        .sort_values(["qid", "rank"]).reset_index(drop=True)
+    got = run.to_pandas().sort_values(["qid", "rank"]) \
+        .reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want)
+
+
 def test_searcher_pool_empty_queries_typed_schema(pool_index):
     import pyarrow as pa
 
