@@ -1309,7 +1309,8 @@ def entry() -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     import pyarrow as pa
-    import pyarrow.dataset as pads
+
+    from lucene_msmarco_ray.index.manifest import term_totals
 
     def _read16(sf_dir: str, table: str, columns):
         # Right-sized read (≥32MB file bytes per block) with a floor of 16
@@ -1324,33 +1325,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # read back from the engine's own segment files — exercises the full
         # build path (tokenize → shuffle → encode → parquet). A term's salt
         # runs are separate rows (read-time concat design), so aggregate.
-        idx = _ensure_index(sf_dir)
-        t = pads.dataset(os.path.join(idx, "segments")).to_table(
-            columns=["term", "df", "cf"]) \
-            .group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-        return t.rename_columns(["term", "df", "cf"]).sort_by("term")
+        return term_totals(_ensure_index(sf_dir))
 
     def index_append(sf_dir: str):
         """Incremental build+append (half the corpus each) read back as
         per-term df/cf — must equal the SAME full-corpus term-stats
         oracle as a one-shot build (the old segments were never
         rewritten; appended salt runs aggregate like any other runs)."""
-        idx = _ensure_appended_index(sf_dir)
-        t = pads.dataset(os.path.join(idx, "segments")).to_table(
-            columns=["term", "df", "cf"]) \
-            .group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-        return t.rename_columns(["term", "df", "cf"]).sort_by("term")
+        return term_totals(_ensure_appended_index(sf_dir))
 
     def index_compact(sf_dir: str):
         """Build + append + COMPACT (index/compact.py zero-decode
         concatenating merge) read back as per-term df/cf — must still
         equal the full-corpus term-stats oracle, proving the fold
         changed layout, not content."""
-        idx = _ensure_compacted_index(sf_dir)
-        t = pads.dataset(os.path.join(idx, "segments")).to_table(
-            columns=["term", "df", "cf"]) \
-            .group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-        return t.rename_columns(["term", "df", "cf"]).sort_by("term")
+        return term_totals(_ensure_compacted_index(sf_dir))
 
     def doc_stats(sf_dir: str):
         idx = _ensure_index(sf_dir)

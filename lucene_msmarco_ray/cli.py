@@ -143,8 +143,8 @@ def main(argv: list[str] | None = None) -> int:
         from .index.append import append_documents
         from .index.build import file_lineage
         from .sources.corpus import _expand, read_code_corpus
-        with open(os.path.join(args.index, "stats.json")) as f:
-            n0 = int(json.load(f)["num_docs"])
+        from .index.manifest import read_stats
+        n0 = int(read_stats(args.index)["num_docs"])
         ds = read_code_corpus(args.corpus, columns=[args.text_col],
                               id_offset=n0)
         stats = append_documents(

@@ -1,18 +1,21 @@
-"""Engine configuration.
+"""Engine configuration: the options that shape an index build.
 
-Mirrors the reference's properties-file surface (reference:
-src/main/java/experiments/SettingsLoader.java:52-64 — index.dir,
-retrieve.num_wanted, qpp.* knobs) as a single dataclass.
+Mirrors the index-side part of the reference's properties-file surface
+(reference: src/main/java/experiments/SettingsLoader.java:52-64 — index.dir
+and the analysis knobs) as a single dataclass. The build records these
+fields in the index manifest (``index.manifest.config_params``) and an
+append rebuilds its config from there.
 
-BM25 defaults are (k1=0.7, b=0.3) per BASELINE.json; the reference's only
-explicit constants are k1=1.2, b=0.75 (reference:
-src/main/java/indexing/SparseVecWriter.java:157) — both are supported, the
-params are plain fields.
+Scorer parameters are not config: BM25 ``k1``/``b`` and LM-Dirichlet ``mu``
+are call arguments to ``search.searcher.retrieve`` and ``SearcherPool``
+(BASELINE.json uses k1=0.7, b=0.3; the reference's only explicit constants
+are k1=1.2, b=0.75 — reference: src/main/java/indexing/SparseVecWriter.java:157),
+and so is the retrieval depth ``k``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -21,16 +24,6 @@ class EngineConfig:
     analyzer: str = "english"          # "english" | "whitespace" | "simple"
     normalize_numbers: bool = True     # the _NUM_ rule (MsMarcoIndexer.java:62-64)
     stopword_file: str | None = None   # custom stop list (reference ships stop.txt)
-
-    # --- BM25 (Lucene 8.8.0 formula; defaults per BASELINE.json) ---
-    k1: float = 0.7
-    b: float = 0.3
-
-    # --- LM-Dirichlet (reference: retrieval/OneStepRetriever.java:225) ---
-    mu: float = 1000.0
-
-    # --- retrieval depths (reference: retrieval/Constants.java:28,56) ---
-    num_wanted: int = 1000
 
     # --- index layout ---
     num_shards: int = 8                # term shards: hash(term) % num_shards
@@ -49,14 +42,8 @@ class EngineConfig:
     # (term_vectors readers) can turn it off.
     emit_fwd: bool = True
 
-    # --- build ---
+    # --- build (not recorded in the manifest: it changes no output) ---
     tokenize_batch_size: int = 1024
-    tokenize_concurrency: int | None = None  # None → let Ray autoscale tasks
-
-    run_name: str = "ray-bm25"
 
     def with_(self, **kw) -> "EngineConfig":
         return replace(self, **kw)
-
-
-DEFAULT = EngineConfig()

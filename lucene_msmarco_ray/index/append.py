@@ -34,35 +34,17 @@ from Parquet footer min/max statistics before any segment is touched.
 
 from __future__ import annotations
 
-import json
 import os
 
-import numpy as np
 import pyarrow.parquet as pq
 
-from ..config import EngineConfig
 from .build import (
     count_distinct_terms,
     encode_segments,
     expand_parquet_files,
     stage_tokenize_partition,
 )
-from .manifest import Manifest
-
-
-def _cfg_from_params(params: dict) -> EngineConfig:
-    """Reconstruct the build-relevant config from the manifest so an append
-    can NEVER tokenize with a different analysis chain than the build."""
-    return EngineConfig(
-        analyzer=params["analyzer"],
-        normalize_numbers=params["normalize_numbers"],
-        stopword_file=params["stopword_file"],
-        block_size=params["block_size"],
-        num_shards=params["num_shards"],
-        salt_docs_per_bucket=params["salt_docs_per_bucket"],
-        fwd_docs_per_bucket=params["fwd_docs_per_bucket"],
-        emit_fwd=params["emit_fwd"],
-    )
+from .manifest import Manifest, config_from_params
 
 
 def _id_bounds(meta_files: list[str], id_col: str) -> tuple[int, int]:
@@ -105,11 +87,10 @@ def append_documents(index_dir: str, ds, *, text_col: str = "text",
     bit-identical for search, so the only observable effect is the fold.
     Pass ``None`` to disable (manual compaction only).
     """
-    man = Manifest(os.path.join(index_dir, "manifest.json"))
-    params = man.data.get("params")
-    if not params or not man.merge_done:
+    man = Manifest.at(index_dir)
+    if not man.params or not man.merge_done:
         raise ValueError(f"{index_dir} is not a completed index build")
-    cfg = _cfg_from_params(params)
+    cfg = config_from_params(man.params)
 
     if pid is None:
         seq = sum(1 for p in man.data["partitions"] if p.startswith("append"))
@@ -119,9 +100,9 @@ def append_documents(index_dir: str, ds, *, text_col: str = "text",
           and any(a.get("pid") == pid
                   for a in man.data.get("appends", []))):
         # this exact append (same pid, same input lineage) already
-        # completed — checkpointed no-op
-        with open(os.path.join(index_dir, "stats.json")) as f:
-            return json.load(f)
+        # completed — checkpointed no-op; the commit is redone, so a crash
+        # inside the stats write heals on the re-run
+        return man.commit(man.stats)
 
     # ---- stage A: tokenize + staged write (same checkpoint machinery as a
     # build partition; a re-run with unchanged input lineage skips this) ----
@@ -133,9 +114,7 @@ def append_documents(index_dir: str, ds, *, text_col: str = "text",
     # [total - n_new, total) where total = Σ rows over ALL partitions ----
     parts = man.data["partitions"]
     n_new = int(parts[pid]["rows"])
-    dl_new = int(parts[pid]["total_len"])
     total = sum(int(p["rows"]) for p in parts.values())
-    total_len = sum(int(p["total_len"]) for p in parts.values())
     part_dir = os.path.join(index_dir, "staged", f"part={pid}")
     meta_files = expand_parquet_files([os.path.join(part_dir, "kind=m")])
     lo, hi = _id_bounds(meta_files, "doc_id")
@@ -162,24 +141,14 @@ def append_documents(index_dir: str, ds, *, text_col: str = "text",
 
     # ---- stats: exact integer folds from the manifest + a vocab recount
     # (O(vocab) term-column scan — never O(corpus)) ----
-    stats = dict(man.data.get("stats") or {})
-    stats["num_docs"] = total
-    stats["total_len"] = total_len
-    stats["avgdl"] = (total_len / total) if total else 0.0
-    stats["n_salt"] = max(1, int(np.ceil(total / cfg.salt_docs_per_bucket)))
-    stats["num_terms"] = count_distinct_terms(seg_dir)
     man.data.setdefault("appends", []).append(
-        {"pid": pid, "rows": n_new, "total_len": dl_new})
-    man.set_stats(stats)
-    man.save()
-    with open(os.path.join(index_dir, "stats.json"), "w") as f:
-        json.dump(stats, f, indent=1)
+        {"pid": pid, "rows": n_new,
+         "total_len": int(parts[pid]["total_len"])})
+    stats = man.commit(man.fold_stats(count_distinct_terms(seg_dir)))
 
     if auto_compact_ratio is not None:
         from .compact import compact_index, fragmentation
         rows, unique = fragmentation(seg_dir)
         if unique and rows / unique > auto_compact_ratio:
             compact_index(index_dir)
-            with open(os.path.join(index_dir, "stats.json")) as f:
-                stats = json.load(f)
     return stats

@@ -9,7 +9,8 @@ Dataflow (SURVEY.md §3.1, operators I1-I7)::
         staged/part=<pid>/kind={p,f,m}   (ONE pass, ONE partitioned write:
         p = postings keyed by gkey=shard·2^20+salt, f = forward-index copy
         keyed by doc bucket, m = doc metadata + lineage sha)
-    staged kind=m ──aggregate──► stats.json  (N, total_len → avgdl)
+    manifest partitions ──fold──► stats.json  (N, total_len → avgdl;
+        written by Manifest.commit)
     staged kind=p ──one plain ray.remote task per gkey (write_segment_dir)──►
         segments/shard=S/salt=B/segment.parquet (varbyte + block-max)
 
@@ -33,7 +34,6 @@ Resumability: tokenize partitions are skipped when their lineage sha matches
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from functools import partial
@@ -52,7 +52,7 @@ from ray.data.datasource import FilenameProvider, SaveMode
 from ..config import EngineConfig
 from ..stages.tokenize import GKEY_SALT_SPAN, TokenizeStage
 from .codec import TermPostings, encode_group_postings
-from .manifest import Manifest
+from .manifest import Manifest, config_params
 
 SEGMENT_SCHEMA = pa.schema([
     ("term", pa.string()),
@@ -247,16 +247,12 @@ def fwd_bucket_dirs(index_dir: str) -> dict[int, list[str]]:
     all staged build partitions. A bucket's term vectors are the union of
     its dirs (one per build partition that saw docs of that range)."""
     out = _gkey_dirs(_staged_dirs(index_dir, "f"))
-    if not out:
-        man_path = os.path.join(index_dir, "manifest.json")
-        if os.path.exists(man_path):
-            with open(man_path) as f:
-                params = json.load(f).get("params") or {}
-            if params.get("emit_fwd") is False:
-                raise RuntimeError(
-                    f"index {index_dir} was built with emit_fwd=False — "
-                    "term-vector / feedback operators need a forward index; "
-                    "rebuild with EngineConfig(emit_fwd=True)")
+    if not out and (Manifest.at(index_dir).params or {}).get("emit_fwd") \
+            is False:
+        raise RuntimeError(
+            f"index {index_dir} was built with emit_fwd=False — "
+            "term-vector / feedback operators need a forward index; "
+            "rebuild with EngineConfig(emit_fwd=True)")
     return out
 
 
@@ -310,8 +306,7 @@ def stage_tokenize_partition(out_dir: str, man: Manifest, pid: str, ds,
     shutil.rmtree(part_dir, ignore_errors=True)
     tok = ds.map_batches(
         TokenizeStage(cfg, text_col=text_col, id_col=id_col, key_col=key_col),
-        batch_format="pyarrow", batch_size=cfg.tokenize_batch_size,
-        concurrency=cfg.tokenize_concurrency)
+        batch_format="pyarrow", batch_size=cfg.tokenize_batch_size)
     # batches form from input blocks in arrival order; fixing that order
     # fixes the staged files' names and rows (the context is the one ``ds``
     # was made with, so this also orders any later run of ``ds``)
@@ -344,8 +339,7 @@ def stage_tokenize_partition(out_dir: str, man: Manifest, pid: str, ds,
                      .astype(np.int64).sum())
     import hashlib as _hashlib
     sha = _hashlib.sha256(acc.tobytes()).hexdigest()
-    man.mark_partition(pid, sha, nrows, [], input_sha=in_sha,
-                       total_len=dl_total)
+    man.mark_partition(pid, sha, nrows, dl_total, input_sha=in_sha)
     man.save()
     return True
 
@@ -396,26 +390,12 @@ def build_index(
     stage_secs: dict[str, float] = {}
     _t0 = _time.monotonic()
     os.makedirs(out_dir, exist_ok=True)
-    man = Manifest(os.path.join(out_dir, "manifest.json"))
-    params = {
-        "analyzer": cfg.analyzer, "normalize_numbers": cfg.normalize_numbers,
-        "stopword_file": cfg.stopword_file, "block_size": cfg.block_size,
-        "num_shards": cfg.num_shards,
-        "salt_docs_per_bucket": cfg.salt_docs_per_bucket,
-        "fwd_docs_per_bucket": cfg.fwd_docs_per_bucket,
-        "emit_fwd": cfg.emit_fwd,
-        "text_col": text_col, "id_col": id_col,
-        # bump to invalidate indexes whose on-disk layout predates a change
-        # (2: segments partitioned by (shard, salt) + salt column;
-        #  3: kind=l per-batch lineage summary rows in the staged write)
-        "segment_layout": 3,
-    }
+    man = Manifest.at(out_dir)
     if not resume:
         for sub in ("staged", "segments"):
             shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
-        man.data = {"params": None, "partitions": {},
-                    "merge": {"status": "pending"}, "stats": None}
-    man.set_params(params)
+        man.reset()
+    man.set_params(config_params(cfg, text_col, id_col))
 
     if partitions is None:
         partitions = [("all", source, input_lineage)]
@@ -432,33 +412,9 @@ def build_index(
 
     if any_rebuilt:
         # changed/new inputs invalidate the downstream merge checkpoint
-        man.data["merge"] = {"status": "pending"}
+        man.mark_merge(done=False)
 
     stage_secs["tokenize"] = round(_time.monotonic() - _t0, 3)
-    _t0 = _time.monotonic()
-
-    # ---- global stats (I4) — summed from the manifest's per-partition
-    # (rows, total_len), recorded by the lineage pass: no re-read of the
-    # meta files. Fold over ALL manifest partitions, not just the ones this
-    # call passed — a resumed build on an index that has since been
-    # APPENDED to (append.append_documents registers extra partitions)
-    # must not shrink the doc stats back to the original build's.
-    pstats = list(man.data["partitions"].values())
-    ndocs = sum(int(p["rows"]) for p in pstats)
-    total_len = sum(int(p["total_len"]) for p in pstats)
-    avgdl = (total_len / ndocs) if ndocs else 0.0
-    n_salt = max(1, int(np.ceil(ndocs / cfg.salt_docs_per_bucket))) if ndocs else 1
-
-    stats = {
-        "num_docs": int(ndocs), "total_len": int(total_len), "avgdl": avgdl,
-        "num_shards": cfg.num_shards, "n_salt": int(n_salt),
-        "salt_docs_per_bucket": int(cfg.salt_docs_per_bucket),
-        "block_size": cfg.block_size, "analyzer": cfg.analyzer,
-        "normalize_numbers": cfg.normalize_numbers,
-        "stopword_file": cfg.stopword_file,
-    }
-
-    stage_secs["stats"] = round(_time.monotonic() - _t0, 3)
     _t0 = _time.monotonic()
 
     # ---- stage C/D: shuffle-merge postings into segments ----
@@ -483,20 +439,14 @@ def build_index(
         n_terms = sum(rows.values()) \
             if len({k % GKEY_SALT_SPAN for k in rows}) <= 1 \
             else count_distinct_terms(seg_dir)
-        man.mark_merge(cfg.num_shards, {"num_terms": int(n_terms)})
-        stats["num_terms"] = int(n_terms)
+        man.mark_merge()
     else:
-        prior = man.data.get("stats") or {}
-        if "num_terms" in prior:
-            stats["num_terms"] = prior["num_terms"]
-
+        n_terms = man.stats["num_terms"]
     stage_secs["merge"] = round(_time.monotonic() - _t0, 3)
-    # forward index (kind=f) is emitted by the SAME tokenize pass /
-    # partitioned write as the postings — no separate stage
-    stats["fwd_bucket_docs"] = int(cfg.fwd_docs_per_bucket)
+
+    # ---- global stats (I4): folded from the manifest's per-partition
+    # (rows, total_len), recorded by the lineage pass — no re-read of the
+    # meta files ----
+    stats = man.fold_stats(n_terms)
     stats["stage_secs"] = stage_secs
-    man.set_stats(stats)
-    man.save()
-    with open(os.path.join(out_dir, "stats.json"), "w") as f:
-        json.dump(stats, f, indent=1)
-    return stats
+    return man.commit(stats)

@@ -46,61 +46,7 @@ import ray
 from .build import (distinct_terms_per_dir, rows_to_segment_table,
                     write_segment_dir)
 from .codec import concat_runs, segment_runs
-from .manifest import Manifest
-
-
-def _sentinel_path(index_dir: str) -> str:
-    return os.path.join(index_dir, "segments.compact.inprogress")
-
-
-def _sentinel_live(path: str) -> bool:
-    """True iff the sentinel names a compaction that may still be
-    running. Same-host pids are probed with kill(0); a sentinel written
-    on ANOTHER host can't be probed, so it is conservatively treated as
-    live (fail loud rather than race a cross-node writer)."""
-    import socket
-    try:
-        with open(path) as f:
-            info = json.load(f)
-    except (OSError, ValueError):
-        return False
-    if info.get("host") != socket.gethostname():
-        return True
-    try:
-        os.kill(int(info["pid"]), 0)
-        return True
-    except (OSError, ValueError, TypeError):
-        return False
-
-
-def _recover_interrupted(index_dir: str, writer: bool = False) -> None:
-    """Restore a crashed compaction's backup so a reader never serves a
-    missing/empty segments dir. The seg→bak→tmp swap in
-    :func:`compact_index` is not atomic, so a reader that opens inside
-    the swap window would otherwise restore the backup out from under
-    the LIVE writer (whose final ``os.replace`` then fails on a
-    non-empty dir). Recovery is therefore gated on the writer's
-    sentinel: while it names a live process, readers raise instead of
-    recovering; once the process is dead (or the sentinel absent — a
-    hard kill before the swap), recovery proceeds. ``writer=True``
-    (only :func:`compact_index`, which holds the single-writer
-    contract) recovers unconditionally."""
-    seg = os.path.join(index_dir, "segments")
-    bak = seg + ".pre-compact"
-    if os.path.isdir(bak) and not os.path.isdir(seg):
-        sent = _sentinel_path(index_dir)
-        if not writer and os.path.exists(sent) and _sentinel_live(sent):
-            raise RuntimeError(
-                f"compaction of {index_dir} is in progress (sentinel "
-                f"{sent}); readers must not open mid-swap — retry after "
-                "it completes, or remove the sentinel if the writer is "
-                "known dead")
-        os.replace(bak, seg)
-    if writer:
-        try:
-            os.remove(_sentinel_path(index_dir))
-        except OSError:
-            pass
+from .manifest import Manifest, _recover_interrupted, _sentinel_path
 
 
 def fragmentation(seg_dir: str) -> tuple[int, int]:
@@ -138,8 +84,8 @@ def compact_index(index_dir: str) -> dict:
     {dirs, rows_before, rows_after}. Idempotent — a second run is a
     cheap no-op rewrite (every term already has one row per dir)."""
     _recover_interrupted(index_dir, writer=True)
-    man = Manifest(os.path.join(index_dir, "manifest.json"))
-    if not man.data.get("params") or not man.merge_done:
+    man = Manifest.at(index_dir)
+    if not man.params or not man.merge_done:
         raise ValueError(f"{index_dir} is not a completed index build")
     seg_dir = os.path.join(index_dir, "segments")
 
@@ -178,10 +124,4 @@ def compact_index(index_dir: str) -> dict:
                "rows_after": rows_after}
     man.data.setdefault("compactions", []).append(dict(summary))
     man.save()
-    stats_path = os.path.join(index_dir, "stats.json")
-    with open(stats_path) as f:
-        stats = json.load(f)
-    stats["segment_rows"] = rows_after
-    with open(stats_path, "w") as f:
-        json.dump(stats, f, indent=1)
     return summary

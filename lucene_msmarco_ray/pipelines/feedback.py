@@ -438,21 +438,14 @@ def lm_doc_weights(index_dir: str, concurrency=(1, 8)):
     vectorized inside each forward-index bucket (docs are co-located by the
     build-time ``fwd/bucket=doc//B`` partitioning), so the whole op is a
     shuffle-free map over bucket descriptors."""
-    import json
-    import os
-
-    import pyarrow.dataset as pads
     import ray.data as rd
 
-    # sum df across salt runs (a term may span several segment rows)
-    seg = pads.dataset(os.path.join(index_dir, "segments")).to_table(
-        columns=["term", "df"]).group_by("term").aggregate([("df", "sum")])
-    df_ref = ray.put(dict(zip(seg["term"].to_pylist(),
-                              seg["df_sum"].to_pylist())))
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        num_docs = json.load(f)["num_docs"]
-
     from ..index.build import fwd_bucket_dirs
+    from ..index.manifest import read_stats, term_totals
+    tot = term_totals(index_dir)
+    df_ref = ray.put(dict(zip(tot["term"].to_pylist(),
+                              tot["df"].to_pylist())))
+    num_docs = read_stats(index_dir)["num_docs"]
     buckets = fwd_bucket_dirs(index_dir)
     if not buckets:
         raise FileNotFoundError(

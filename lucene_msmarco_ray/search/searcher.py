@@ -26,7 +26,6 @@ same :func:`score_query_taat`.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
 
@@ -38,6 +37,7 @@ import pyarrow.dataset as pads
 from ..analysis import get_analyzer
 from ..index.build import _staged_dirs, pads_dirs, term_shard
 from ..index.codec import TermPostings, concat_runs, decode_all, segment_runs
+from ..index.manifest import read_stats, term_totals
 from .scoring import make_scorer
 
 RUN_SCHEMA = pa.schema([
@@ -102,16 +102,11 @@ class IndexReader:
         ``global_stats``, a term → (df, cf) dict that a caller holding
         several bucket readers shares between them (one metadata read per
         term, not one per bucket)."""
-        # a compaction that crashed between its two renames leaves only
-        # segments.pre-compact; restore it on OPEN (not just on the next
-        # compact) — otherwise the reader would silently serve an empty
-        # index (the missing-segments fallback below exists for indexes
-        # that legitimately have no postings yet)
-        from ..index.compact import _recover_interrupted
-        _recover_interrupted(index_dir)
+        # read_stats restores a compaction that crashed between its two
+        # renames on OPEN (not just on the next compact) — otherwise the
+        # reader would silently serve an empty index
         self.index_dir = index_dir
-        with open(os.path.join(index_dir, "stats.json")) as f:
-            self.stats = json.load(f)
+        self.stats = read_stats(index_dir)
         self.num_docs = int(self.stats["num_docs"])
         self.avgdl = float(self.stats["avgdl"])
         self.total_len = int(self.stats["total_len"])
@@ -134,8 +129,6 @@ class IndexReader:
             seg_tbl, meta_tbl = preload_tables(index_dir)
         self._load_doc_lens(meta_tbl)
         self._cache: dict[str, TermPostings | None] = {}
-        self._decoded: dict[str, tuple] = {}
-        self._decoded_cap = 1024
         # per-(term, scorer) contribution cache: a term's per-posting score
         # is query-independent, so heavy terms are scored ONCE per actor;
         # bounded by bytes, hottest-first eviction (insertion-ordered)
@@ -203,43 +196,19 @@ class IndexReader:
 
     def _fetch_global_stats(self, terms: list[str]) -> None:
         """Summed (df, cf) of ``terms`` over every bucket into the shared
-        ``global_stats``: one term-filtered read of the metadata columns
-        (no posting bytes leave storage)."""
-        todo = dict.fromkeys((t for t in terms if t not in self._global),
-                             (0, 0))
-        seg = os.path.join(self.index_dir, "segments")
-        if not todo or not os.path.isdir(seg):
-            return
-        t = pads.dataset(seg).to_table(
-            columns=["term", "df", "cf"],
-            filter=pc.field("term").isin(list(todo))) \
-            .group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-        todo.update(zip(t["term"].to_pylist(),
-                        zip(t["df_sum"].to_pylist(), t["cf_sum"].to_pylist())))
-        self._global.update(todo)
+        ``global_stats``; (0, 0) marks a term no bucket holds, so sibling
+        readers do not ask again."""
+        todo = [t for t in terms if t not in self._global]
+        if todo:
+            t = term_totals(self.index_dir, todo)
+            self._global.update(dict.fromkeys(todo, (0, 0)))
+            self._global.update(zip(t["term"].to_pylist(), zip(
+                t["df"].to_pylist(), t["cf"].to_pylist())))
 
     def get_term(self, term: str) -> TermPostings | None:
         if term not in self._cache:
             self.prefetch([term])
         return self._cache.get(term)
-
-    def get_postings_arrays(self, term: str):
-        """Decoded (docs, tfs) with a bounded per-reader cache — heavy terms
-        recur across queries, so decode once per actor, not per query."""
-        hit = self._decoded.get(term)
-        if hit is not None:
-            return hit
-        tp = self.get_term(term)
-        if tp is None:
-            return None
-        docs, tfs = decode_all(tp)
-        arrays = (docs - self.doc_base if self.doc_base else docs, tfs)
-        if len(self._decoded) >= self._decoded_cap:
-            # drop ~half, oldest first (insertion-ordered dict)
-            for k in list(self._decoded)[: self._decoded_cap // 2]:
-                del self._decoded[k]
-        self._decoded[term] = arrays
-        return arrays
 
     def get_scored_postings(self, term: str, scorer):
         """(docs, per-posting score contributions) for one term under one
@@ -250,11 +219,12 @@ class IndexReader:
         hit = self._contrib.get(key)
         if hit is not None:
             return hit
-        arrays = self.get_postings_arrays(term)
-        if arrays is None:
-            return None
-        docs, tfs = arrays
         tp = self.get_term(term)
+        if tp is None:
+            return None
+        docs, tfs = decode_all(tp)
+        if self.doc_base:
+            docs = docs - self.doc_base
         contrib = scorer.term_scores(
             tfs.astype(np.float64), self.doc_len(docs).astype(np.float64),
             tp.df, tp.cf, self.num_docs, self.avgdl, self.total_len)
@@ -375,8 +345,7 @@ def preload_tables(index_dir: str) -> tuple[pa.Table, pa.Table]:
     ``IndexReader(idx, preload_ref=ref)`` per actor. Requires the
     index-fits-one-node preload mode (beyond that, search/sharded.py runs
     one salt-bucket reader per doc shard)."""
-    from ..index.compact import _recover_interrupted
-    _recover_interrupted(index_dir)    # interrupted compaction → restore
+    read_stats(index_dir)    # restores an interrupted compaction first
     seg = os.path.join(index_dir, "segments")
     seg_tbl = (pads.dataset(seg).to_table() if os.path.isdir(seg)
                else pa.table({}))

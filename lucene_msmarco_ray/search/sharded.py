@@ -36,13 +36,11 @@ per-shard top-k rows (≤ k rows per query per shard).
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..index.manifest import read_stats
 from .searcher import SearchStage, _topk_exact, actor_pool_kwargs
 
 
@@ -87,9 +85,7 @@ def retrieve_sharded(queries_ds, index_dir: str, *, scorer: str = "bm25",
     identical results to :func:`search.searcher.retrieve` (test-enforced).
     Parallelism axis = doc shards (n_salt); use the query-partitioned path
     when the index fits one node's memory."""
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        st = json.load(f)
-    n_salt = int(st.get("n_salt", 1))
+    n_salt = int(read_stats(index_dir).get("n_salt", 1))
 
     def replicate(row: dict) -> list[dict]:
         return [{"qid": str(row["qid"]), "text": row["text"], "salt": s}

@@ -33,7 +33,8 @@ import json
 import os
 
 import pyarrow as pa
-import pyarrow.dataset as pads
+
+from ..index.manifest import term_totals
 
 
 def read_jsonl_corpus(paths, id_field: str = "id", title_field: str = "title",
@@ -78,15 +79,6 @@ def sparsevec_bm25_weight(tf: float, N: int, df: int, doc_len: float,
     return tf * (k + 1) / (tf + k * (1 - b + b * doc_len / avgdl) * idf)
 
 
-def _vocab_table(index_dir: str) -> pa.Table:
-    """Distinct (term, df) sorted by term — a term's salt runs are separate
-    segment rows (merge-free layout), so df aggregates here."""
-    return pads.dataset(os.path.join(index_dir, "segments")).to_table(
-        columns=["term", "df"]).group_by("term") \
-        .aggregate([("df", "sum")]).rename_columns(["term", "df"]) \
-        .sort_by("term")
-
-
 def write_sparse_vecs(index_dir: str, out_dir: str) -> tuple[str, str]:
     """S8: every doc's `term:tf` line + vocab.txt (term \\t id, insertion
     order = term order of first appearance per the reference's word2id map;
@@ -99,7 +91,7 @@ def write_sparse_vecs(index_dir: str, out_dir: str) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     vocab_path = os.path.join(out_dir, "vocab.txt")
     with open(vocab_path, "w", encoding="utf-8") as f:
-        for i, t in enumerate(_vocab_table(index_dir)["term"].to_pylist()):
+        for i, t in enumerate(term_totals(index_dir)["term"].to_pylist()):
             f.write(f"{t}\t{i}\n")
 
     buckets = fwd_bucket_dirs(index_dir)
@@ -142,7 +134,7 @@ def write_sparse_vecs(index_dir: str, out_dir: str) -> tuple[str, str]:
 
 def dump_vocab_df(index_dir: str, out_path: str) -> str:
     """S14: `term \\t df` for every index term (df summed across salt runs)."""
-    t = _vocab_table(index_dir)
+    t = term_totals(index_dir)
     with open(out_path, "w", encoding="utf-8") as f:
         for term, d in zip(t["term"].to_pylist(), t["df"].to_pylist()):
             f.write(f"{term}\t{d}\n")

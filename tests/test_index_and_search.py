@@ -15,8 +15,7 @@ from lucene_msmarco_ray.search.searcher import IndexReader, retrieve, score_quer
 from lucene_msmarco_ray.search.scoring import BM25Scorer, LMDirichletScorer
 
 SF_DIR = "/root/testdata/sf0.001"
-CFG = EngineConfig(analyzer="simple", num_shards=4, block_size=16,
-                   k1=0.7, b=0.3)
+CFG = EngineConfig(analyzer="simple", num_shards=4, block_size=16)
 
 
 @pytest.fixture(scope="session")
