@@ -62,10 +62,37 @@ def _gate_variants() -> list[tuple[str, int, str, float]]:
     return out
 
 
+# the package dirs whose code decides what a gate index holds
+_PKG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "lucene_msmarco_ray")
+_INDEX_CODE_DIRS = ("index", "stages", "analysis", "sources")
+
+
+def _index_code_digest() -> str:
+    """Digest of the sources under ``_PKG_DIR``'s ``_INDEX_CODE_DIRS``
+    (relative paths and bytes)."""
+    import hashlib
+    h = hashlib.sha256()
+    for sub in _INDEX_CODE_DIRS:
+        for root, _, files in sorted(os.walk(os.path.join(_PKG_DIR, sub))):
+            for f in sorted(files):
+                if f.endswith(".py"):
+                    path = os.path.join(root, f)
+                    h.update(os.path.relpath(path, _PKG_DIR).encode() + b"\0")
+                    with open(path, "rb") as fh:
+                        h.update(fh.read())
+    return h.hexdigest()[:10]
+
+
 def _index_dir_for(sf_dir: str) -> str:
+    """Gate index dir of ``sf_dir``, keyed by its path and by the code
+    that builds indexes: ``_ensure_index`` resumes a matching index, so
+    a code change must not find one that older code built."""
     import hashlib
     tag = hashlib.md5(sf_dir.encode()).hexdigest()[:10]
-    return os.path.join("/tmp/graft_idx", f"{os.path.basename(sf_dir.rstrip('/'))}_{tag}")
+    return os.path.join(
+        "/tmp/graft_idx", f"{os.path.basename(sf_dir.rstrip('/'))}_{tag}"
+                          f"_{_index_code_digest()}")
 
 
 def _ensure_index(sf_dir: str) -> str:

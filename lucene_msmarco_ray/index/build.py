@@ -5,18 +5,24 @@ in-memory segment build, flush and merge all happen inside Lucene).
 
 Dataflow (SURVEY.md §3.1, operators I1-I7)::
 
-    corpus parquet ──map_batches(TokenizeStage)──►
-        staged/part=<pid>/kind={p,f,m}   (ONE pass, ONE partitioned write:
-        p = postings keyed by gkey=shard·2^20+salt, f = forward-index copy
-        keyed by doc bucket, m = doc metadata + lineage sha)
+    corpus row group ──read → TokenizeStage → write, ONE fused task──►
+        staged/part=<pid>/kind={p,f,m,l}   (ONE pass, ONE partitioned
+        write: p = postings keyed by gkey=shard·2^20+salt, f = forward-index
+        copy keyed by doc bucket, m = doc metadata + sha, l = lineage)
     manifest partitions ──fold──► stats.json  (N, total_len → avgdl;
         written by Manifest.commit)
     staged kind=p ──one plain ray.remote task per gkey (write_segment_dir)──►
         segments/shard=S/salt=B/segment.parquet (varbyte + block-max)
 
-Ray Data runs only the tokenize stage. Every segment file — build, append
-and compaction — is written by :func:`write_segment_dir`: one fixed-name
-file per (shard, salt) dir, terms sorted, so a build is byte-stable.
+Ray Data runs only the tokenize stage, as one task per input block (one
+row group for the corpus readers): the stage takes whole blocks and cuts
+its own passes, so the read fuses with it, and every task of the build on
+a worker shares that worker's warm analysis cache (``stages.tokenize``).
+The encode reads each group's staged ``term`` column as dictionary codes
+and orders its postings by one argsort of (term rank, doc). Every segment
+file — build, append and compaction — is written by
+:func:`write_segment_dir`: one fixed-name file per (shard, salt) dir,
+terms sorted, so a build is byte-stable.
 
 Shuffle inventory: exactly ONE exchange over the postings, realized as the
 partitioned staged write (no all-to-all operator). A salted term's runs
@@ -122,7 +128,7 @@ def _list_from_flat(values: np.ndarray, counts: np.ndarray,
                                     pa.array(values, type=dtype))
 
 
-def group_segment_table(terms: np.ndarray, shard: int, enc: dict,
+def group_segment_table(terms: pa.Array | np.ndarray, shard: int, enc: dict,
                         salt: int = 0) -> pa.Table:
     """Segment rows for one encoded group (see codec.encode_group_postings)
     — all columns built from flat arrays, no per-term Python."""
@@ -163,18 +169,30 @@ class _EncodeGkeyTask:
             shard = gkey // GKEY_SALT_SPAN
             salt = gkey % GKEY_SALT_SPAN
             tbl = pa.concat_tables([
-                pq.read_table(f, columns=["term", "doc_id", "tf", "dl"])
+                pq.read_table(f, columns=["term", "doc_id", "tf", "dl"],
+                              read_dictionary=["term"])
                 for f in row["files"]])
             if tbl.num_rows == 0:
                 continue
-            codes, uniq = pd.factorize(tbl["term"].to_pandas(), sort=True)
+            # rank the group's one dictionary (UTF-8 byte order is code
+            # point order, as ``sorted()``), then order the postings by
+            # (rank, doc) with one argsort: (term, doc) is unique in a
+            # group, and rank × doc span stays far below 2^63
+            term = tbl["term"].unify_dictionaries()
+            words = term.chunk(0).dictionary
+            by_rank = pc.array_sort_indices(words).to_numpy()
+            rank = np.empty(len(words), np.int64)
+            rank[by_rank] = np.arange(len(words))
+            codes = rank[np.concatenate([c.indices.to_numpy(
+                zero_copy_only=False) for c in term.chunks])]
             doc = tbl["doc_id"].to_numpy(zero_copy_only=False)
-            tf = tbl["tf"].to_numpy(zero_copy_only=False)
-            dl = tbl["dl"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((doc, codes))
-            codes, doc, tf, dl = codes[order], doc[order], tf[order], dl[order]
+            lo = doc.min()
+            order = np.argsort(codes * (doc.max() - lo + 1) + (doc - lo))
+            codes, doc = codes[order], doc[order]
+            tf = tbl["tf"].to_numpy(zero_copy_only=False)[order]
+            dl = tbl["dl"].to_numpy(zero_copy_only=False)[order]
             enc = encode_group_postings(codes, doc, tf, dl, self.block_size)
-            terms = np.asarray(uniq)[codes[enc["term_starts"]]]
+            terms = words.take(by_rank[codes[enc["term_starts"]]])
             out.append(group_segment_table(terms, shard, enc, salt))
         if not out:
             return rows_to_segment_table([], np.empty(0), [])
@@ -304,9 +322,13 @@ def stage_tokenize_partition(out_dir: str, man: Manifest, pid: str, ds,
     tmp_dir = part_dir + ".tmp"
     shutil.rmtree(tmp_dir, ignore_errors=True)
     shutil.rmtree(part_dir, ignore_errors=True)
+    # batch_size=None: each input block (one row group, for the corpus
+    # readers) is one call, which cuts its own passes; a batch size would
+    # keep the read from fusing with this stage (Ray fuses no map whose
+    # batch size needs rows that its upstream map may have reshaped)
     tok = ds.map_batches(
         TokenizeStage(cfg, text_col=text_col, id_col=id_col, key_col=key_col),
-        batch_format="pyarrow", batch_size=cfg.tokenize_batch_size)
+        batch_format="pyarrow", batch_size=None)
     # batches form from input blocks in arrival order; fixing that order
     # fixes the staged files' names and rows (the context is the one ``ds``
     # was made with, so this also orders any later run of ``ds``)

@@ -32,9 +32,14 @@ import pyarrow as pa
 
 def varbyte_encode(values: np.ndarray) -> bytes:
     """Vectorized varbyte encode of a non-negative int64 array."""
+    return _varbyte(values)[0]
+
+
+def _varbyte(values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Varbyte stream of ``values`` and each value's byte count."""
     v = np.asarray(values, dtype=np.uint64)
     if v.size == 0:
-        return b""
+        return b"", np.zeros(0, dtype=np.int64)
     # 7-bit groups needed per value (min 1)
     ngroups = np.zeros(v.shape, dtype=np.int64)
     tmp = v.copy()
@@ -52,7 +57,7 @@ def varbyte_encode(values: np.ndarray) -> bytes:
         byte = (v[sel] >> np.uint64(7 * k)) & np.uint64(0x7F)
         cont = (nbytes[sel] - 1) > k
         out[offsets[sel] + k] = byte.astype(np.uint8) | (cont.astype(np.uint8) << 7)
-    return out.tobytes()
+    return out.tobytes(), nbytes
 
 
 def varbyte_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarray:
@@ -124,10 +129,8 @@ def encode_term_postings(doc_ids: np.ndarray, tfs: np.ndarray, doc_lens: np.ndar
 
     # per-block byte offsets: encode per block? no — encode whole streams,
     # then compute offsets from per-value byte lengths (vectorized).
-    doc_bytes = varbyte_encode(deltas)
-    tf_bytes = varbyte_encode(t)
-    d_lens = _varbyte_lengths(deltas)
-    t_lens = _varbyte_lengths(t)
+    doc_bytes, d_lens = _varbyte(deltas)
+    tf_bytes, t_lens = _varbyte(t)
     # delta-count per block = count - 1
     dcounts = counts.astype(np.int64) - 1
     d_cum = np.concatenate(([0], np.cumsum(d_lens)))
@@ -194,10 +197,8 @@ def encode_group_postings(codes: np.ndarray, doc: np.ndarray, tf: np.ndarray,
     keep = ~is_start
     deltas = deltas_all[keep]
 
-    doc_bytes = varbyte_encode(deltas)
-    tf_bytes = varbyte_encode(tf)
-    d_lens = _varbyte_lengths(deltas)
-    t_lens = _varbyte_lengths(tf)
+    doc_bytes, d_lens = _varbyte(deltas)
+    tf_bytes, t_lens = _varbyte(tf)
     d_cum = np.concatenate(([0], np.cumsum(d_lens)))
     t_cum = np.concatenate(([0], np.cumsum(t_lens)))
 
@@ -233,21 +234,6 @@ def encode_group_postings(codes: np.ndarray, doc: np.ndarray, tf: np.ndarray,
         "b_doc_off": rel_doc_off.astype(np.int64),
         "b_tf_off": rel_tf_off.astype(np.int64),
     }
-
-
-def _varbyte_lengths(values: np.ndarray) -> np.ndarray:
-    v = np.asarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    n = np.zeros(v.shape, dtype=np.int64)
-    tmp = v.copy()
-    while True:
-        nz = tmp > 0
-        if not nz.any():
-            break
-        n[nz] += 1
-        tmp >>= np.uint64(7)
-    return np.maximum(n, 1)
 
 
 def concat_runs(runs: list[TermPostings]) -> TermPostings:

@@ -8,7 +8,10 @@ are a prefix sum of per-file row counts taken from **Parquet footer metadata
 only** (no data read) over the lexicographically sorted file list. This is:
 
 * deterministic across runs and across parallelism levels (no Date/random);
-* scalable: the driver touches only footers; each task reads one row group;
+* scalable: the driver touches only footers; each task reads one row group
+  (a Read operator, so a downstream map that takes whole blocks — the
+  tokenize stage — fuses with it into one task per row group, while a
+  batch-sized one cannot bundle row groups into one read task);
 * dense: ids are [0, N) so doc-length lookups are plain array indexing.
 
 Input schema per BASELINE.json input_hint:
@@ -20,12 +23,15 @@ from __future__ import annotations
 
 import glob
 import os
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 
 def _expand(paths: str | list[str]) -> list[str]:
@@ -52,6 +58,38 @@ def corpus_file_plan(paths: str | list[str]) -> list[dict]:
             plan.append({"file": f, "row_group": rg, "base": base, "rows": nrows})
             base += nrows
     return plan
+
+
+def _read_one(reader, desc: dict) -> list[pa.Table]:
+    return [reader(pa.Table.from_pylist([desc]))]
+
+
+class _PlanDatasource(Datasource):
+    """One read task per descriptor of ``plan`` (a row group, or a file),
+    which runs ``reader`` on it. A read, unlike a map, may change the row
+    count, so Ray never fuses a batch-sized map behind it (which would
+    bundle descriptors into one task to fill a batch), yet it does fuse a
+    map that takes whole blocks: with the tokenize stage behind it, one
+    task reads and tokenizes a descriptor, with no object-store hop."""
+
+    def __init__(self, plan: list[dict], reader, name: str) -> None:
+        self._plan, self._reader, self._name = plan, reader, name
+
+    def get_name(self) -> str:
+        return self._name
+
+    def estimate_inmemory_data_size(self) -> None:
+        return None
+
+    def get_read_tasks(self, parallelism: int, **_) -> list[ReadTask]:
+        return [ReadTask(partial(_read_one, self._reader, p), BlockMetadata(
+            num_rows=p["rows"], size_bytes=None, input_files=[p["file"]],
+            exec_stats=None)) for p in self._plan]
+
+
+def _read_plan(plan: list[dict], reader, name: str) -> rd.Dataset:
+    return rd.read_datasource(_PlanDatasource(plan, reader, name),
+                              override_num_blocks=len(plan))
 
 
 class _ReadRowGroup:
@@ -150,9 +188,7 @@ def read_tsv_corpus(paths: str | list[str]) -> rd.Dataset:
     plan = tsv_file_plan(paths)
     if not plan:
         raise FileNotFoundError(f"no TSV files under {paths!r}")
-    ds = rd.from_items(plan, override_num_blocks=len(plan))
-    return ds.map_batches(_ReadTsvFile(), batch_size=1,
-                          batch_format="pyarrow", num_cpus=0.99)
+    return _read_plan(plan, _ReadTsvFile(), "TsvFile")
 
 
 def read_code_corpus(paths: str | list[str], columns: list[str] | None = None,
@@ -173,12 +209,4 @@ def read_code_corpus(paths: str | list[str], columns: list[str] | None = None,
     cols = columns
     if cols is not None:
         cols = sorted(set(cols) | set(key_cols))
-    # one block per descriptor → one task per row group. Two traps avoided:
-    # from_items packs items into one block unless override_num_blocks is
-    # set, and downstream operator fusion would bundle the 1-row descriptor
-    # blocks into a single task to satisfy the downstream batch_size —
-    # num_cpus=0.99 gives this stage a distinct resource request, which
-    # blocks fusion and keeps one read task per row group.
-    ds = rd.from_items(plan, override_num_blocks=len(plan))
-    return ds.map_batches(_ReadRowGroup(cols, key_cols), batch_size=1,
-                          batch_format="pyarrow", num_cpus=0.99)
+    return _read_plan(plan, _ReadRowGroup(cols, key_cols), "RowGroup")

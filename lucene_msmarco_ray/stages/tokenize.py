@@ -13,18 +13,31 @@ BASELINE.json's input_hint ("per-row invariant vs the reference: content
 sha256 equality"); per-partition lineage is derived from these row hashes in
 ``index.manifest``.
 
-Stateful setup (analyzer: stop set, stem cache, compiled regexes) happens once
-per worker via the callable-class pattern; work happens per batch in
-``__call__`` (SURVEY.md T6). Python touches the batch's vocabulary, not each
-token: the batch's text bytes are split in numpy at the analyzer's neutral
-separators (``analysis.analyzer``), the analyzer runs once per distinct
-piece (cached across batches as int term codes), and the (doc, term) counts,
-doc lengths and crc32 shards are array operations over those codes.
+Stateful setup (analyzer: stop set, stem cache, compiled regexes) happens in
+``__init__``; work happens in ``__call__`` (SURVEY.md T6), which cuts its
+block into passes of ``tokenize_batch_size`` rows. Python touches each
+pass's vocabulary, not each token: the text bytes are split in numpy at the
+analyzer's neutral separators (``analysis.analyzer``), the analyzer runs
+once per distinct piece, and the (doc, term) counts, doc lengths and crc32
+shards are array operations over int term codes.
+
+Cache scope: Ray Data unpickles a fresh copy of the stage for every task,
+so the analysis cache (piece → term codes, term → code, and per code its
+term and shard) is not pickled with the stage. It lives in one module-level
+entry per worker process, keyed by a token that ``__init__`` draws: every
+task of one build (or partition, or append) on a worker reuses the warm
+entry, as Lucene reuses one indexing chain per thread; a stage with a new
+token replaces it, so nothing carries over from one build to the next.
+``CACHE_MAX_PIECES`` bounds the entry: once a pass leaves more pieces than
+that, the next pass starts a fresh one. Term codes never leave a pass, so
+a reset changes no output.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+import uuid
 from itertools import chain
 from zlib import crc32
 
@@ -55,6 +68,64 @@ STAGED_SCHEMA = pa.schema([
 ])
 
 GKEY_SALT_SPAN = 1 << 20   # salts per shard in the gkey encoding
+
+CACHE_MAX_PIECES = 1 << 18  # distinct pieces one worker's cache may hold
+
+
+def _grown(buf: np.ndarray, size: int) -> np.ndarray:
+    """``buf``, or a copy at least twice as long when ``size`` exceeds it."""
+    if size <= len(buf):
+        return buf
+    out = np.empty(max(size, 2 * len(buf)), buf.dtype)
+    out[:len(buf)] = buf
+    return out
+
+
+class _Vocab:
+    """One build's analysis cache on one worker: each distinct piece's term
+    codes, each term's code, and per code its UTF-8 term and crc32 shard.
+    The term bytes, offsets and shards sit in arrays that grow by doubling,
+    so adding terms costs their own size, not the vocabulary's. Code 0 is
+    "", the term column's value on meta and lineage rows."""
+
+    def __init__(self, token: str) -> None:
+        self.token = token
+        self.pieces: dict[str, tuple[int, ...]] = {}
+        self.term_code = {"": 0}
+        self._offs = np.zeros(1 << 12, np.int32)   # term c: [offs[c], offs[c+1])
+        self._data = np.empty(1 << 16, np.uint8)
+        self._shards = np.zeros(1 << 12, np.int64)
+
+    def add_terms(self, new: list[str], num_shards: int) -> None:
+        """Store the terms that just got the codes after the old ones."""
+        n, k = len(self.term_code) - len(new), len(new)
+        arr = pa.array(new, pa.string())
+        _, offs_buf, data_buf = arr.buffers()
+        offs = np.frombuffer(offs_buf, np.int32)[:k + 1]
+        end = int(self._offs[n])
+        self._offs = _grown(self._offs, n + k + 1)
+        self._offs[n + 1:n + k + 1] = offs[1:] + end
+        self._data = _grown(self._data, end + int(offs[-1]))
+        if data_buf is not None:
+            self._data[end:end + offs[-1]] = np.frombuffer(
+                data_buf, np.uint8)[:offs[-1]]
+        self._shards = _grown(self._shards, n + k)
+        self._shards[n:n + k] = np.array(
+            [crc32(t.encode("utf-8")) for t in new]) % num_shards
+
+    def terms(self) -> pa.StringArray:
+        """Every term, by code (a zero-copy view of the term arrays)."""
+        n = len(self.term_code)
+        return pa.Array.from_buffers(
+            pa.string(), n, [None, pa.py_buffer(self._offs[:n + 1]),
+                             pa.py_buffer(self._data[:self._offs[n]])])
+
+    def shards(self) -> np.ndarray:
+        return self._shards[:len(self.term_code)]
+
+
+_worker_vocab: _Vocab | None = None   # this worker's cache, for one token
+_worker_lock = threading.Lock()        # one pass at a time grows it
 
 
 class TokenizeStage:
@@ -88,17 +159,25 @@ class TokenizeStage:
         self.salt_bucket = cfg.salt_docs_per_bucket
         self.fwd_bucket = cfg.fwd_docs_per_bucket
         self.emit_fwd = cfg.emit_fwd
-        # analysis results cached across batches as int term codes; code 0
-        # is "", the term column's value on meta and lineage rows
-        self._piece_codes: dict[str, tuple[int, ...]] = {}
-        self._term_code = {"": 0}
-        self._terms = pa.array([""], pa.string())
-        self._shards = np.zeros(1, np.int64)   # crc32 shard per term code
+        self.pass_rows = cfg.tokenize_batch_size
+        # names this stage's cache entry on every worker (module docstring)
+        self._token = uuid.uuid4().hex
 
-    def _analyze_pieces(self, pieces: list[str]) -> list[tuple[int, ...]]:
-        """Term codes of each piece; analyzes only pieces never seen before
-        and gives each new term a code and its crc32 shard."""
-        cache, term_code = self._piece_codes, self._term_code
+    def _vocab(self) -> _Vocab:
+        """This worker's cache entry for the stage's token: the warm one,
+        or a fresh one if another stage's or an over-full one is there."""
+        global _worker_vocab
+        v = _worker_vocab
+        if v is None or v.token != self._token \
+                or len(v.pieces) > CACHE_MAX_PIECES:
+            v = _worker_vocab = _Vocab(self._token)
+        return v
+
+    def _analyze_pieces(self, vocab: _Vocab, pieces: list[str]
+                        ) -> list[tuple[int, ...]]:
+        """Term codes of each piece; analyzes only pieces ``vocab`` has not
+        seen and gives each new term a code and its crc32 shard."""
+        cache, term_code = vocab.pieces, vocab.term_code
         new: list[str] = []
         out = []
         for piece in pieces:
@@ -114,10 +193,7 @@ class TokenizeStage:
                 codes = cache[piece] = tuple(codes)
             out.append(codes)
         if new:
-            self._terms = pa.concat_arrays([self._terms,
-                                            pa.array(new, pa.string())])
-            self._shards = np.append(self._shards, np.array(
-                [crc32(t.encode("utf-8")) for t in new]) % self.num_shards)
+            vocab.add_terms(new, self.num_shards)
         return out
 
     def _split(self, raw: np.ndarray, starts: np.ndarray
@@ -143,6 +219,21 @@ class TokenizeStage:
         return pieces, np.repeat(np.arange(len(starts)), per_doc)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """Staged rows of ``batch``: those of each pass of ``pass_rows``
+        rows in turn, so a whole row group's working arrays stay the size
+        of one pass."""
+        # names no module global but ``pa``: a traced run wraps this
+        # method, so the original is pickled by value with its globals
+        step = self.pass_rows
+        outs = [self._pass(batch.slice(i, step))
+                for i in range(0, max(batch.num_rows, 1), step)]
+        return outs[0] if len(outs) == 1 else pa.concat_tables(outs)
+
+    def _pass(self, batch: pa.Table) -> pa.Table:
+        with _worker_lock:
+            return self._tokenize(self._vocab(), batch)
+
+    def _tokenize(self, vocab: _Vocab, batch: pa.Table) -> pa.Table:
         text = batch[self.text_col].combine_chunks().cast(pa.large_string())
         if text.null_count:
             raise ValueError(f"column {self.text_col!r} has null texts")
@@ -159,10 +250,10 @@ class TokenizeStage:
 
         # split at the analyzer's neutral separators: a doc's terms are the
         # concatenation of its pieces' terms, so each distinct piece of the
-        # batch is analyzed once (and never again in a later batch)
+        # pass is analyzed once (and not again while the cache holds it)
         pieces, piece_doc = self._split(raw, starts)
         enc = pc.dictionary_encode(pieces)
-        piece_codes = self._analyze_pieces(enc.dictionary.to_pylist())
+        piece_codes = self._analyze_pieces(vocab, enc.dictionary.to_pylist())
         lens = np.fromiter(map(len, piece_codes), np.int64, len(piece_codes))
         flat = np.fromiter(chain.from_iterable(piece_codes), np.int64,
                            int(lens.sum()))
@@ -176,7 +267,7 @@ class TokenizeStage:
         m_dl = np.bincount(doc, minlength=n_docs).astype(np.int32)
 
         # one posting per (doc, term), in order of first occurrence in the doc
-        span = len(self._term_code)
+        span = len(vocab.term_code)
         pairs, first, tfs = np.unique(doc * span + codes, return_index=True,
                                       return_counts=True)
         order = np.argsort(first)
@@ -187,7 +278,7 @@ class TokenizeStage:
         np_dls = m_dl[p_doc]
         npost = len(pairs)
 
-        gkey = self._shards[p_code] * GKEY_SALT_SPAN + np_docs // self.salt_bucket
+        gkey = vocab.shards()[p_code] * GKEY_SALT_SPAN + np_docs // self.salt_bucket
         nf = npost if self.emit_fwd else 0   # forward-index copies (kind=f)
         fkey = (np_docs // self.fwd_bucket)[:nf]
 
@@ -211,7 +302,7 @@ class TokenizeStage:
                 .take(np.repeat(np.arange(4), [npost, nf, n_docs, 1])),
                 pa.array(np.concatenate([gkey, fkey,
                                          np.full(n_docs + 1, -1, np.int64)])),
-                self._terms.take(np.concatenate(
+                vocab.terms().take(np.concatenate(
                     [p_code, p_code[:nf], np.zeros(n_docs + 1, np.int64)])),
                 pa.array(np.concatenate([np_docs, np_docs[:nf], ids,
                                          np.array([l_dlsum], np.int64)])),

@@ -30,3 +30,36 @@ def test_to_pandas_surfaces_the_datasets_own_error(ray_session):
         _check_gate().to_pandas(ds)
     assert not isinstance(err.value, TypeError)
     assert "ValueError: boom" in str(err.value)
+
+
+def test_gate_index_dir_follows_the_index_code(tmp_path, monkeypatch):
+    """A gate index is resumed from its dir, so the dir must change when
+    the code that builds indexes changes, and only then."""
+    import shutil
+    import sys
+
+    sys.path.insert(0, os.path.dirname(os.path.dirname(_PATH)))
+    import __ray_entry__ as entry
+
+    pkg = tmp_path / "pkg"
+    for sub in (*entry._INDEX_CODE_DIRS, "search"):
+        shutil.copytree(os.path.join(entry._PKG_DIR, sub), pkg / sub)
+    monkeypatch.setattr(entry, "_PKG_DIR", str(pkg))
+    sf = "/data/sf0.01"
+    base = entry._index_dir_for(sf)
+    assert entry._index_dir_for(sf) == base
+    assert entry._index_dir_for("/data/sf0.001") != base
+
+    # code outside the index dirs, and files that are not sources, keep it
+    with open(pkg / "search" / "searcher.py", "a") as f:
+        f.write("\n# changed\n")
+    (pkg / "index" / "notes.txt").write_text("x")
+    assert entry._index_dir_for(sf) == base
+
+    for sub in entry._INDEX_CODE_DIRS:
+        path = next((pkg / sub).glob("*.py"))
+        text = path.read_text()
+        path.write_text(text + "\n# changed\n")
+        assert entry._index_dir_for(sf) != base, sub
+        path.write_text(text)
+        assert entry._index_dir_for(sf) == base

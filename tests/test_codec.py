@@ -178,3 +178,60 @@ def test_segment_runs_matches_row_decode():
                 assert_same_postings(a, b)
             assert_same_postings(concat_runs(got[term]), concat_runs(runs))
     assert segment_runs(tbl.slice(0, 0)) == {}
+
+
+def test_gkey_encode_sorts_unicode_terms_as_sorted(tmp_path):
+    """One (shard, salt) group staged as several files (one of two row
+    groups, each with its own term dictionary) encodes to the rows of
+    the earlier path — ``pd.factorize(sort=True)`` over Python strings,
+    then ``np.lexsort`` — with terms in ``sorted()`` order."""
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lucene_msmarco_ray.index.build import (
+        GKEY_SALT_SPAN,
+        _EncodeGkeyTask,
+        group_segment_table,
+    )
+    from lucene_msmarco_ray.index.codec import encode_group_postings
+
+    words = ["é", "e", "ß", "ss", "ſ", "s", "Z", "z", "Éa", "éa", "中文",
+             "日本", "😀", "👍", "�", "ÿ", "Ā", "a", "A", "_num_", "ﬁ"]
+    rng = np.random.default_rng(5)
+    rows = [(w, int(d)) for w in words
+            for d in rng.choice(400, int(rng.integers(1, 40)), replace=False)]
+    rng.shuffle(rows)
+    tbl = pa.table({
+        "term": pa.array([w for w, _ in rows], pa.string()),
+        "doc_id": pa.array([d for _, d in rows], pa.int64()),
+        "tf": pa.array(rng.integers(1, 9, len(rows)), pa.int32()),
+        "dl": pa.array(rng.integers(5, 99, len(rows)), pa.int32()),
+    })
+    # docs split over files as build partitions split them: disjoint
+    files = []
+    for i, part in enumerate((tbl.filter(pa.compute.less(tbl["doc_id"], 150)),
+                              tbl.filter(pa.compute.greater_equal(
+                                  tbl["doc_id"], 150)))):
+        files.append(str(tmp_path / f"doc{i}.parquet"))
+        pq.write_table(part, files[-1], row_group_size=-(-part.num_rows // 2))
+    assert pq.ParquetFile(files[0]).num_row_groups == 2
+
+    gkey = 3 * GKEY_SALT_SPAN + 1
+    got = _EncodeGkeyTask(4)(pd.DataFrame([{"gkey": gkey, "files": files}]))
+
+    staged = pa.concat_tables([pq.read_table(f) for f in files])
+    codes, uniq = pd.factorize(staged["term"].to_pandas(), sort=True)
+    doc = staged["doc_id"].to_numpy()
+    order = np.lexsort((doc, codes))
+    codes = codes[order]
+    enc = encode_group_postings(codes, doc[order],
+                                staged["tf"].to_numpy()[order],
+                                staged["dl"].to_numpy()[order], 4)
+    want = group_segment_table(np.asarray(uniq)[codes[enc["term_starts"]]],
+                               3, enc, 1)
+    assert got["term"].to_pylist() == sorted(words)
+    assert got.schema.equals(want.schema)
+    for col in got.column_names:
+        assert got[col].combine_chunks().equals(
+            want[col].combine_chunks()), col

@@ -4,9 +4,14 @@ The oracle below is the stage's earlier ``__call__``: analyze each doc,
 count its terms in a dict (first-occurrence order), crc32-shard each
 posting. The batch path must give an equal table for every analyzer, with
 and without a key column, at any batch size, with its term cache carried
-across batches."""
+across batches, shared by the pickled copies Ray Data's tasks run, and
+reset when it outgrows its cap."""
 
 import hashlib
+import pickle
+import sys
+import threading
+from collections import Counter
 from zlib import crc32
 
 import numpy as np
@@ -14,6 +19,7 @@ import pyarrow as pa
 import pytest
 
 from lucene_msmarco_ray.config import EngineConfig
+from lucene_msmarco_ray.stages import tokenize as tokenize_mod
 from lucene_msmarco_ray.stages.tokenize import (
     FWD_KIND,
     GKEY_SALT_SPAN,
@@ -141,12 +147,74 @@ def test_batch_path_equals_per_doc_loop(corpus, analyzer, batch_size):
     if batch_size > 1:    # keys come from doc ids: one path, fewer calls
         stages.append(TokenizeStage(cfg, text_col="content"))
     assert corpus.num_rows >= 2048
-    for b in corpus.to_batches(max_chunksize=batch_size):
-        batch = pa.Table.from_batches([b])
-        for stage in stages:
+    # one stage after the other: the cache follows one stage at a time
+    for stage in stages:
+        for b in corpus.to_batches(max_chunksize=batch_size):
+            batch = pa.Table.from_batches([b])
             got = stage(batch)
             want = per_doc_oracle(stage, batch)
             assert got.equals(want), (analyzer, batch["content"].to_pylist())
+
+
+def _copies(stage: TokenizeStage, n: int = 2) -> list[TokenizeStage]:
+    """What ``n`` Ray Data tasks of one build run: unpickled copies."""
+    return [pickle.loads(pickle.dumps(stage)) for _ in range(n)]
+
+
+def test_copies_of_one_stage_share_one_cache(corpus):
+    """Two tasks of one build in one worker analyze each distinct piece
+    once between them; a newly built stage starts with an empty cache."""
+    cfg = EngineConfig(analyzer="english")
+    stage = TokenizeStage(cfg, text_col="content", key_col="doc_key")
+    seen: Counter = Counter()
+
+    def counting(piece):
+        seen[piece] += 1
+        return stage.analyzer(piece)
+
+    copies = _copies(stage)
+    for c in copies:
+        c.analyzer = counting
+    batches = [pa.Table.from_batches([b])
+               for b in corpus.to_batches(max_chunksize=300)]
+    for i, batch in enumerate(batches):
+        assert copies[i % 2](batch).equals(per_doc_oracle(stage, batch))
+        if i == 0:
+            first = set(seen)
+    assert first and len(seen) > len(first)
+    assert set(seen.values()) == {1}
+
+    fresh = TokenizeStage(cfg, text_col="content", key_col="doc_key")
+    fresh.analyzer = counting
+    assert fresh(batches[0]).equals(per_doc_oracle(stage, batches[0]))
+    assert {p for p, n in seen.items() if n == 2} == first
+
+
+@pytest.mark.parametrize("analyzer", ["english", "simple", "whitespace"])
+def test_cache_cap_starts_a_fresh_entry(corpus, analyzer, monkeypatch):
+    """With a tiny cap the cache is replaced after almost every pass; the
+    rows stay equal to the oracle's, and a block larger than
+    ``tokenize_batch_size`` gives the rows of its passes fed one by one."""
+    monkeypatch.setattr(tokenize_mod, "CACHE_MAX_PIECES", 40)
+    cfg = EngineConfig(analyzer=analyzer, num_shards=5,
+                       salt_docs_per_bucket=97, fwd_docs_per_bucket=41,
+                       tokenize_batch_size=64)
+    stage = TokenizeStage(cfg, text_col="content", key_col="doc_key")
+    copies = _copies(stage)
+    entries = []
+    for i, b in enumerate(corpus.slice(0, 640).to_batches(max_chunksize=64)):
+        batch = pa.Table.from_batches([b])
+        assert copies[i % 2](batch).equals(per_doc_oracle(stage, batch))
+        entries.append(tokenize_mod._worker_vocab)
+    assert len({id(e) for e in entries}) > 1
+
+    block = corpus.slice(100, 300)
+    whole = _copies(stage)[0](block)
+    other = TokenizeStage(cfg, text_col="content", key_col="doc_key")
+    passes = pa.concat_tables([other(block.slice(i, 64))
+                               for i in range(0, block.num_rows, 64)])
+    assert whole.num_rows > 0 and whole.equals(passes)
+    assert whole["kind"].to_pylist().count(LINEAGE_KIND) == 5
 
 
 def test_string_column_and_empty_batch():
@@ -158,3 +226,32 @@ def test_string_column_and_empty_batch():
     assert stage(batch).equals(per_doc_oracle(stage, batch))
     empty = batch.slice(0, 0)
     assert stage(empty).equals(per_doc_oracle(stage, empty))
+
+
+def test_copies_in_threads_share_the_cache_safely(corpus):
+    """Copies called from more threads than cores at once (a worker that
+    ran tasks in threads) still give the oracle's rows."""
+    cfg = EngineConfig(analyzer="english", tokenize_batch_size=50)
+    stage = TokenizeStage(cfg, text_col="content", key_col="doc_key")
+    blocks = [corpus.slice(i, 200) for i in range(0, 1600, 200)]
+    got: dict[int, pa.Table] = {}
+
+    def run(i, copy):
+        got[i] = copy(blocks[i])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i, c))
+                   for i, c in enumerate(_copies(stage, len(blocks)))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for i, block in enumerate(blocks):
+        want = pa.concat_tables([per_doc_oracle(stage, block.slice(j, 50))
+                                 for j in range(0, block.num_rows, 50)])
+        assert got[i].equals(want), i
