@@ -218,14 +218,12 @@ def _rounded_run(sf_dir: str, scorer: str, k: int = _K, queries=None,
     import pandas as pd
     import ray.data as rd
 
-    from lucene_msmarco_ray.search.searcher import retrieve
+    from lucene_msmarco_ray.search.service import retrieve
 
     idx = _ensure_index(sf_dir)
     qs = _queries_ds() if queries is None else rd.from_items(
         [{"qid": q, "text": t} for q, t in queries])
-    run = retrieve(qs, idx, scorer=scorer, k=k, concurrency=(1, 2),
-                   actor_num_cpus=0.5,
-                   **scorer_kw)
+    run = retrieve(qs, idx, scorer=scorer, k=k, concurrency=2, **scorer_kw)
     keep = head or k
 
     def rr(g: pd.DataFrame) -> pd.DataFrame:
@@ -1383,11 +1381,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         must equal the single-reader BM25 oracle exactly."""
         import pandas as pd
 
-        from lucene_msmarco_ray.search.sharded import retrieve_sharded
+        from lucene_msmarco_ray.search.service import retrieve_sharded
         idx = _ensure_salted_index(sf_dir)
         run = retrieve_sharded(_queries_ds(), idx, scorer="bm25", k=_K,
-                               k1=0.7, b=0.3, concurrency=(1, 2),
-                               actor_num_cpus=0.5)
+                               k1=0.7, b=0.3, concurrency=2)
 
         def rr(g: pd.DataFrame) -> pd.DataFrame:
             g = g.copy()

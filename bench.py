@@ -57,7 +57,7 @@ def run_bench() -> dict:
 
     from lucene_msmarco_ray.config import EngineConfig
     from lucene_msmarco_ray.index.build import build_index
-    from lucene_msmarco_ray.search.searcher import retrieve
+    from lucene_msmarco_ray.search.service import retrieve
     from lucene_msmarco_ray.sources.corpus import read_code_corpus
     from lucene_msmarco_ray.synth import generate_queries
 
@@ -94,8 +94,8 @@ def run_bench() -> dict:
     qtbl = generate_queries(BENCH_QUERIES, seed=7)
     qs = rd.from_arrow(qtbl)
     search_conc = max(1, NUM_CPUS // 2)
-    # Ray Data actor pools are per-execution, so every retrieve() pays pool
-    # spin-up (actor launch + index broadcast) before any query is scored.
+    # every retrieve() opens and shuts down its own SearcherPool, so it pays
+    # pool spin-up (actor launch + index broadcast) before any query is scored.
     # Two-point fit separates the components: time the query set once (t1)
     # and five times over (t5, same pool paid once) — steady QPS =
     # 4N / (t5 - t1), spin-up = t1 - N/steady. The driver-visible
@@ -103,15 +103,14 @@ def run_bench() -> dict:
     # comparability.
     t0 = time.time()
     run = retrieve(qs, idx_dir, scorer="bm25", k=1000, k1=0.7, b=0.3,
-                   concurrency=search_conc, batch_size=16,
-                   preload=True)
+                   concurrency=search_conc, batch_size=16)
     nrows = run.count()
     t1 = time.time() - t0
     timings["corpus_search"] = round(t1, 3)
     q5 = rd.from_arrow(pa.concat_tables([qtbl] * 5))
     t0 = time.time()
     retrieve(q5, idx_dir, scorer="bm25", k=1000, k1=0.7, b=0.3,
-             concurrency=search_conc, batch_size=16, preload=True).count()
+             concurrency=search_conc, batch_size=16).count()
     t5 = time.time() - t0
     nq = qtbl.num_rows
     if t5 > t1 * 1.02:

@@ -208,7 +208,7 @@ def bpe_mu_sweep(corpus_ds, queries: dict[str, str], index_dir: str,
     Returns {mu: run Dataset}."""
     from ..config import EngineConfig
     from ..index.build import build_index
-    from ..search.searcher import retrieve
+    from ..search.service import retrieve
     model = learn_bpe(corpus_ds, text_col, num_merges)
     enc = bpe_pretokenize(corpus_ds, model, text_col)
     cfg = EngineConfig(analyzer="whitespace", num_shards=8)

@@ -163,14 +163,14 @@ def main(argv: list[str] | None = None) -> int:
     elif args.cmd == "search":
         ray = _init_ray(args.num_cpus)
         import ray.data as rd
-        from .search.searcher import retrieve
+        from .search.service import retrieve
         from .sources.trec import read_queries, write_run
         qdf = read_queries(args.queries)
         conc = args.concurrency or max(
             1, int(ray.cluster_resources().get("CPU", 2)) // 2)
         run = retrieve(rd.from_pandas(qdf), args.index, scorer=args.scorer,
                        k=args.k, k1=args.k1, b=args.b, mu=args.mu,
-                       concurrency=conc, preload=True)
+                       concurrency=conc)
         write_run(run, args.out, run_name=args.run_name)
         print(json.dumps({"queries": len(qdf), "out": args.out}))
         ray.shutdown()

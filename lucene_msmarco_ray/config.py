@@ -7,7 +7,7 @@ fields in the index manifest (``index.manifest.config_params``) and an
 append rebuilds its config from there.
 
 Scorer parameters are not config: BM25 ``k1``/``b`` and LM-Dirichlet ``mu``
-are call arguments to ``search.searcher.retrieve`` and ``SearcherPool``
+are call arguments to ``search.service.retrieve`` and ``SearcherPool``
 (BASELINE.json uses k1=0.7, b=0.3; the reference's only explicit constants
 are k1=1.2, b=0.75 — reference: src/main/java/indexing/SparseVecWriter.java:157),
 and so is the retrieval depth ``k``.

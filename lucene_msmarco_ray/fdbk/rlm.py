@@ -27,7 +27,7 @@ from the reference, including its quirks, each flagged:
 
 These are per-query computations (top-k ≤ tens of docs) intended to run
 inside ``groupby(qid).map_groups`` with the doc term vectors provided by the
-forward index (staged kind=p columns of the build).
+forward index (staged kind=f rows of the build).
 """
 
 from __future__ import annotations

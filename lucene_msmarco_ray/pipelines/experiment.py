@@ -158,12 +158,16 @@ def variant_qpp_estimates(run_ds, variants_df: pd.DataFrame, index_dir: str,
                 zip(vdf["qid"], vdf["variant_rank"], vdf["variant_text"])]
 
     if retrieve_fn is None:
-        from ..search.searcher import retrieve
+        from ..search.service import retrieve
+
+        # the searcher pool takes an actor count: a (min, max) pool range's max
+        n_searchers = (concurrency[1] if isinstance(concurrency, tuple)
+                       else concurrency)
 
         def retrieve_fn(qlist):
             qs = rd.from_items([{"qid": q, "text": t} for q, t in qlist])
             return retrieve(qs, index_dir, scorer=scorer, k=k,
-                            concurrency=concurrency, **scorer_kw)
+                            concurrency=n_searchers, **scorer_kw)
 
     variant_run = retrieve_fn(vqueries)
     vest = qpp_estimates(variant_run, index_dir, dict(vqueries), k=k,

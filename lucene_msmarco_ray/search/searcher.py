@@ -1,16 +1,18 @@
-"""Index reader + top-k retrieval.
+"""Index reader + top-k scoring: the searcher every query path runs.
 
 The reference opens one IndexSearcher shared by every operation (reference:
-src/main/java/retrieval/OneStepRetriever.java:34-45). Our equivalent
-(SURVEY.md T1) is an actor-pool stage: :class:`SearchStage` is a callable
-class used with ``map_batches(SearchStage, concurrency=N, batch_size=B)`` —
-the reader state (doc-length array, stats, term cache) is built once per actor
-in ``__init__``; each ``__call__`` scores a batch of queries.
+src/main/java/retrieval/OneStepRetriever.java:34-45). Our equivalent is
+:class:`SearchStage`: the reader state (doc-length array, stats, term
+cache), analyzer and scorer are built once, and :meth:`SearchStage.search`
+scores a batch of queries. ``search/service.py``'s long-lived
+``SearcherPool`` actors each hold one, and ``retrieve()`` and
+``retrieve_sharded()`` run on that pool.
 
 Scale model: queries are the distributed axis (each query is fully answered by
-one actor — no per-query merge shuffle); term postings are fetched on demand
+one actor — no per-query merge); term postings are fetched on demand
 from the sharded segment parquet via predicate pushdown (only the query's
-terms' rows are read) and cached per actor. Heavy salted terms arrive as
+terms' rows are read) and cached per actor, or preloaded from one
+object-store copy of the index. Heavy salted terms arrive as
 multiple block-runs concatenated at read time (codec.concat_runs — zero
 decode). The doc-length array is dense int32 indexed by doc id (dense ids via
 sources.corpus); at multi-node scale this array is the only per-actor
@@ -19,11 +21,10 @@ footprint that grows with N (4 bytes/doc ⇒ 4 GB per 10^9 docs).
 Beyond that, the same reader opens ONE salt bucket (``salt=B``): it reads
 only that bucket's ``segments/shard=*/salt=B`` dirs and doc-length rows, with
 doc ids local to the bucket, so its footprint is O(bucket docs); df/cf stay
-global. search/sharded.py runs one such :class:`SearchStage` per bucket and
-merges the per-bucket top-k — the doc-partitioned topology, scored by the
-same :func:`score_query_taat`.
+global. A doc-partitioned ``SearcherPool`` holds one such
+:class:`SearchStage` per bucket and merges the per-bucket top-k — the same
+:func:`score_query_taat` scores both topologies.
 """
-
 from __future__ import annotations
 
 import os
@@ -343,8 +344,8 @@ def preload_tables(index_dir: str) -> tuple[pa.Table, pa.Table]:
     """Read the (segments, doc-meta) tables ONCE for object-store sharing
     across a searcher pool: ``ref = ray.put(preload_tables(idx))`` then
     ``IndexReader(idx, preload_ref=ref)`` per actor. Requires the
-    index-fits-one-node preload mode (beyond that, search/sharded.py runs
-    one salt-bucket reader per doc shard)."""
+    index-fits-one-node preload mode (beyond that, a doc-partitioned
+    ``SearcherPool`` runs one salt-bucket reader per doc shard)."""
     read_stats(index_dir)    # restores an interrupted compaction first
     seg = os.path.join(index_dir, "segments")
     seg_tbl = (pads.dataset(seg).to_table() if os.path.isdir(seg)
@@ -355,16 +356,15 @@ def preload_tables(index_dir: str) -> tuple[pa.Table, pa.Table]:
 
 
 class SearchStage:
-    """Actor-pool stage: query batch (qid, text) → TREC-style run rows.
+    """One searcher: query batch (qid, text) → TREC-style run rows.
 
-    Per-actor state (reader, analyzer, scorer) is built once in ``__init__``
-    (SURVEY.md T1); use as
-    ``queries.map_batches(SearchStage, fn_constructor_kwargs=..., concurrency=A)``.
-    ``salt``/``global_stats`` open a one-bucket reader (see
-    :class:`IndexReader`); the returned doc ids are global either way.
-    :meth:`search` is the scoring core (term lists → numpy arrays);
-    ``__call__`` wraps it in :func:`run_table`, and ``SearcherPool``'s
-    actors call it directly (search/service.py).
+    The state a searcher actor holds (reader, analyzer, scorer) is built
+    once in ``__init__`` (SURVEY.md T1). ``salt``/``global_stats`` open a
+    one-bucket reader (see :class:`IndexReader`); the returned doc ids are
+    global either way. :meth:`search` is the scoring core (term lists →
+    numpy arrays), which ``SearcherPool``'s actors call
+    (search/service.py); ``__call__`` wraps it in :func:`run_table` for an
+    in-process run.
     """
 
     def __init__(self, index_dir: str, scorer: str = "bm25", k: int = 1000,
@@ -410,72 +410,3 @@ class SearchStage:
             out_doc.append(docs)
             out_score.append(scores)
         return lens, np.concatenate(out_doc), np.concatenate(out_score)
-
-
-def actor_pool_kwargs(concurrency: int | tuple[int, int],
-                      actor_num_cpus: float | None) -> tuple[dict, int]:
-    """Ray Data kwargs (``concurrency``, ``num_cpus``) for a searcher actor
-    pool on the current cluster, and the pool's largest size.
-
-    A pool that starts with every CPU deadlocks: Ray Data waits for its
-    first actors before scheduling work, the actors hold every CPU, and the
-    upstream tasks can never produce a block (observed live, not
-    hypothetical). Such a pool becomes a fixed one that leaves one CPU for
-    producers; on a one-CPU cluster that leaves nothing, so the lone actor
-    reserves no CPU and shares the core with the producer tasks."""
-    lo, hi = concurrency if isinstance(concurrency, tuple) \
-        else (concurrency, concurrency)
-    try:
-        import ray
-        total = int(ray.cluster_resources().get("CPU", 0))
-    except Exception:
-        total = 0
-    per_actor = actor_num_cpus or 1.0
-    if total and lo * per_actor >= total:
-        actor_num_cpus = min(per_actor, total - 1)
-        hi = int((total - 1) / actor_num_cpus) if actor_num_cpus else 1
-        concurrency = hi
-    kw = {"concurrency": concurrency}
-    if actor_num_cpus is not None:
-        kw["num_cpus"] = actor_num_cpus
-    return kw, hi
-
-
-def _query_blocks(queries_ds, n_blocks: int):
-    """``queries_ds`` cut into ``n_blocks`` blocks, or one block per query
-    if there are fewer queries: a block with no rows would make an empty
-    search task (and Ray Data warns of its empty schema)."""
-    queries_ds = queries_ds.materialize()
-    return queries_ds.repartition(max(min(n_blocks, queries_ds.count()), 1))
-
-
-def retrieve(queries_ds, index_dir: str, *, scorer: str = "bm25", k: int = 1000,
-             concurrency: int | tuple[int, int] = (1, 8), batch_size: int = 64,
-             preload: bool = False, actor_num_cpus: float | None = None,
-             **scorer_kw):
-    """queries (qid, text) → run dataset (qid, doc_id, rank, score).
-
-    ``concurrency`` sizes the searcher actor pool (callable class ⇒ actors;
-    an (min, max) tuple lets the pool autoscale with query volume).
-
-    The query set is repartitioned so every actor gets work: query tables
-    usually arrive as ONE block (from_arrow/from_items), and one block means
-    one task on one actor regardless of pool size. 8 blocks per actor keeps
-    the pool load-balanced (per-query cost varies ~2x with term weight)."""
-    pool_kw, hi = actor_pool_kwargs(concurrency, actor_num_cpus)
-    queries_ds = _query_blocks(queries_ds, 8 * hi)
-    preload_ref = None
-    if preload and hi > 1:
-        # one driver-side read + object-store broadcast instead of every
-        # actor re-decoding the segment parquet (actors build zero-copy
-        # views over the shared plasma buffers) — cuts pool spin-up from
-        # O(actors x index decode) to O(1 decode + actor launch)
-        import ray
-        preload_ref = ray.put(preload_tables(index_dir))
-        preload = False
-    return queries_ds.map_batches(
-        SearchStage,
-        fn_constructor_kwargs=dict(index_dir=index_dir, scorer=scorer, k=k,
-                                   preload=preload, preload_ref=preload_ref,
-                                   **scorer_kw),
-        batch_format="pyarrow", batch_size=batch_size, **pool_kw)

@@ -8,7 +8,7 @@ schema, same cache dir as bench.py):
      wall time, docs/s and per-stage peak heap memory, demonstrating the
      metadata-only-shuffle claim holds off gate-sized inputs.
   B. search topology at N docs: query-partitioned retrieve() vs the
-     doc-partitioned retrieve_sharded() (one actor per salt bucket) — QPS
+     doc-partitioned retrieve_sharded() (salt buckets dealt to actors) — QPS
      and per-actor index footprint for the multi-node story.
 
 Usage: python scripts/scale_runs.py [--docs 2000000] [--queries 1000]
@@ -111,8 +111,7 @@ def run_search_topologies(files: list[str], n_docs: int,
 
     from lucene_msmarco_ray.config import EngineConfig
     from lucene_msmarco_ray.index.build import build_index, file_lineage
-    from lucene_msmarco_ray.search.searcher import retrieve
-    from lucene_msmarco_ray.search.sharded import retrieve_sharded
+    from lucene_msmarco_ray.search.service import retrieve, retrieve_sharded
     from lucene_msmarco_ray.sources.corpus import read_code_corpus
     from lucene_msmarco_ray.synth import generate_queries
 
@@ -132,13 +131,11 @@ def run_search_topologies(files: list[str], n_docs: int,
 
     qtbl = generate_queries(n_queries, seed=7)
 
-    # query-partitioned: every actor holds the WHOLE index. Leave half the
-    # CPUs for the upstream repartition — an actor pool sized to the whole
-    # cluster starves the producer stage.
+    # query-partitioned: every actor holds the WHOLE index
     t0 = time.time()
     run_q = retrieve(rd.from_arrow(qtbl), idx_dir, scorer="bm25", k=1000,
-                     k1=0.7, b=0.3, concurrency=max(1, num_cpus // 2),
-                     batch_size=16, preload=True).materialize()
+                     k1=0.7, b=0.3, concurrency=num_cpus,
+                     batch_size=16).materialize()
     out["query_part_sec"] = round(time.time() - t0, 2)
     out["query_part_qps"] = round(n_queries / out["query_part_sec"], 1)
     out["query_part_rows"] = run_q.count()
@@ -152,12 +149,11 @@ def run_search_topologies(files: list[str], n_docs: int,
         (seg.nbytes + meta.nbytes) / 2**20, 1)
     del seg, meta
 
-    # doc-partitioned: one actor per salt bucket holds 1/n_salt of the docs
+    # doc-partitioned: each actor holds its share of the salt buckets
     t0 = time.time()
     run_s = retrieve_sharded(
         rd.from_arrow(qtbl), idx_dir, scorer="bm25", k=1000, k1=0.7, b=0.3,
-        concurrency=(1, min(out["n_salt"], max(1, num_cpus - 2)))
-    ).materialize()
+        concurrency=num_cpus).materialize()
     out["doc_part_sec"] = round(time.time() - t0, 2)
     out["doc_part_qps"] = round(n_queries / out["doc_part_sec"], 1)
     out["doc_part_rows"] = run_s.count()

@@ -24,7 +24,7 @@ def run_and_index(ray_session, tmp_path_factory):
 
     from lucene_msmarco_ray.config import EngineConfig
     from lucene_msmarco_ray.index.build import build_index
-    from lucene_msmarco_ray.search.searcher import retrieve
+    from lucene_msmarco_ray.search.service import retrieve
     out = str(tmp_path_factory.mktemp("fbidx") / "idx")
     ds = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",
                          columns=["doc_id", "text"])

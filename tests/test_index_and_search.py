@@ -11,7 +11,8 @@ import pytest
 
 from lucene_msmarco_ray.config import EngineConfig
 from lucene_msmarco_ray.index.build import build_index
-from lucene_msmarco_ray.search.searcher import IndexReader, retrieve, score_query_taat
+from lucene_msmarco_ray.search.searcher import IndexReader, score_query_taat
+from lucene_msmarco_ray.search.service import retrieve
 from lucene_msmarco_ray.search.scoring import BM25Scorer, LMDirichletScorer
 
 SF_DIR = "/root/testdata/sf0.001"
@@ -225,16 +226,15 @@ def test_contribution_cache_keys_on_scorer_params(built_index, corpus_tokens):
 
 def test_retrieve_fixed_pool_never_hangs_on_full_cluster(built_index,
                                                          ray_session):
-    """A fixed actor pool sized to the whole cluster used to deadlock the
+    """A searcher pool sized to the whole cluster used to deadlock the
     upstream repartition (all CPUs held by idle actors waiting for blocks);
-    retrieve() now clamps fixed pools to leave a producer CPU."""
+    retrieve() now reads its queries before any searcher takes a CPU."""
     import ray
     import ray.data as rd
-    from lucene_msmarco_ray.search.searcher import retrieve
+    from lucene_msmarco_ray.search.service import retrieve
     idx_dir, _ = built_index
     ncpu = int(ray.cluster_resources()["CPU"])
     qs = rd.from_items([{"qid": "q1", "text": "the data"},
                         {"qid": "q2", "text": "index value"}])
-    run = retrieve(qs, idx_dir, scorer="bm25", k=5, concurrency=ncpu,
-                   preload=True)
+    run = retrieve(qs, idx_dir, scorer="bm25", k=5, concurrency=ncpu)
     assert run.count() > 0

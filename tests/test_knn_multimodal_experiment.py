@@ -183,7 +183,7 @@ def test_qpp_experiment(ray_session, tmp_path_factory):
         qpp_experiment,
         stochastic_qpp_evaluation,
     )
-    from lucene_msmarco_ray.search.searcher import retrieve
+    from lucene_msmarco_ray.search.service import retrieve
     out = str(tmp_path_factory.mktemp("exp") / "idx")
     ds = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",
                          columns=["doc_id", "text"])
@@ -222,7 +222,7 @@ def test_variant_qpp_estimates(ray_session, tmp_path_factory):
     from lucene_msmarco_ray.index.build import build_index
     from lucene_msmarco_ray.pipelines.experiment import variant_qpp_estimates
     from lucene_msmarco_ray.pipelines.feedback import qpp_estimates
-    from lucene_msmarco_ray.search.searcher import retrieve
+    from lucene_msmarco_ray.search.service import retrieve
 
     out = str(tmp_path_factory.mktemp("vqpp") / "idx")
     ds = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",

@@ -1,7 +1,11 @@
-"""Doc-partitioned sharded search must be IDENTICAL to the single-reader
-query-partitioned path — scores, ranks, and tie-breaks."""
+"""Both searcher-pool layouts must be IDENTICAL to the in-process
+single-reader searcher — scores, ranks, and tie-breaks."""
+
+import ast
+import os
 
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from lucene_msmarco_ray.config import EngineConfig
@@ -46,6 +50,13 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
         .astype({"doc_id": "int64", "rank": "int64"})
 
 
+def _in_process(queries: list[dict], idx: str, **kw) -> pd.DataFrame:
+    """The oracle: one in-process single-reader searcher, no Ray actor."""
+    from lucene_msmarco_ray.search.searcher import SearchStage
+    return _canon(SearchStage(idx, preload=True, **kw)(
+        pa.Table.from_pylist(queries)).to_pandas())
+
+
 @pytest.mark.parametrize("scorer,kw", [
     ("bm25", {"k1": 0.7, "b": 0.3}),
     ("lmdir", {"mu": 1000.0}),
@@ -53,15 +64,16 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 def test_sharded_equals_single(salted_index, scorer, kw):
     import ray.data as rd
 
-    from lucene_msmarco_ray.search.searcher import retrieve
-    from lucene_msmarco_ray.search.sharded import retrieve_sharded
+    from lucene_msmarco_ray.search.service import retrieve, retrieve_sharded
+    want = _in_process(QUERIES, salted_index, scorer=scorer, k=50, **kw)
     qs = rd.from_items(QUERIES, override_num_blocks=2)
     single = _canon(retrieve(qs, salted_index, scorer=scorer, k=50,
                              **kw).to_pandas())
     qs2 = rd.from_items(QUERIES, override_num_blocks=2)
     sharded = _canon(retrieve_sharded(qs2, salted_index, scorer=scorer,
                                       k=50, **kw).to_pandas())
-    pd.testing.assert_frame_equal(single, sharded)   # bit-identical scores
+    pd.testing.assert_frame_equal(single, want)      # bit-identical scores
+    pd.testing.assert_frame_equal(sharded, want)
 
 
 def test_sharded_topk_cut_is_global(salted_index):
@@ -69,8 +81,9 @@ def test_sharded_topk_cut_is_global(salted_index):
     global best, not per-shard quotas."""
     import ray.data as rd
 
-    from lucene_msmarco_ray.search.searcher import retrieve
-    from lucene_msmarco_ray.search.sharded import retrieve_sharded
+    from lucene_msmarco_ray.search.service import retrieve, retrieve_sharded
+    want = _in_process(QUERIES[:1], salted_index, scorer="bm25", k=7,
+                       k1=0.7, b=0.3)
     qs = rd.from_items(QUERIES[:1], override_num_blocks=1)
     single = _canon(retrieve(qs, salted_index, scorer="bm25", k=7,
                              k1=0.7, b=0.3).to_pandas())
@@ -78,21 +91,20 @@ def test_sharded_topk_cut_is_global(salted_index):
     sharded = _canon(retrieve_sharded(qs2, salted_index, scorer="bm25",
                                       k=7, k1=0.7, b=0.3).to_pandas())
     assert len(sharded) == 7
-    pd.testing.assert_frame_equal(single, sharded)
+    pd.testing.assert_frame_equal(single, want)
+    pd.testing.assert_frame_equal(sharded, want)
 
 
 def test_sharded_on_one_cpu_returns(salted_index):
-    """A one-CPU cluster with the default pool size: the shard actors must
-    not hold the only CPU the upstream shuffle needs (it hung forever)."""
+    """A one-CPU cluster with the default pool sizes: ``retrieve_sharded``
+    and ``retrieve`` return, and ``SearcherPool(idx)`` with its default
+    ``n_actors`` starts and answers (a pool asking for more CPUs than the
+    cluster holds waits forever for its actors)."""
     import json
-    import os
     import signal
     import subprocess
     import sys
 
-    import ray.data as rd
-
-    from lucene_msmarco_ray.search.searcher import retrieve
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = f"""
 import json, ray
@@ -100,11 +112,19 @@ ray.init(address="local", num_cpus=1, include_dashboard=False,
          logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
+import pyarrow as pa
 import ray.data as rd
-from lucene_msmarco_ray.search.sharded import retrieve_sharded
-run = retrieve_sharded(rd.from_items({QUERIES!r}), {salted_index!r},
-                       scorer="bm25", k=50, k1=0.7, b=0.3).to_pandas()
-print(json.dumps(run.to_dict(orient="list")))
+from lucene_msmarco_ray.search.service import (
+    SearcherPool, retrieve, retrieve_sharded)
+runs = [retrieve_sharded(rd.from_items({QUERIES!r}), {salted_index!r},
+                         scorer="bm25", k=50, k1=0.7, b=0.3).to_pandas(),
+        retrieve(rd.from_items({QUERIES!r}), {salted_index!r},
+                 scorer="bm25", k=50, k1=0.7, b=0.3).to_pandas()]
+pool = SearcherPool({salted_index!r}, k=50, k1=0.7, b=0.3)
+runs.append(pool.query(pa.Table.from_pylist({QUERIES!r})).to_pandas())
+pool.shutdown()
+for run in runs:
+    print(json.dumps(run.to_dict(orient="list")))
 ray.shutdown()
 """
     # own process group: a hung run's Ray services are killed with it
@@ -119,10 +139,13 @@ ray.shutdown()
         p.communicate()
         raise
     assert p.returncode == 0, err[-2000:]
-    got = _canon(pd.DataFrame(json.loads(out.strip().splitlines()[-1])))
-    want = _canon(retrieve(rd.from_items(QUERIES), salted_index,
-                           scorer="bm25", k=50, k1=0.7, b=0.3).to_pandas())
-    pd.testing.assert_frame_equal(got, want)
+    want = _in_process(QUERIES, salted_index, scorer="bm25", k=50,
+                       k1=0.7, b=0.3)
+    lines = out.strip().splitlines()[-3:]
+    assert len(lines) == 3, out[-2000:]
+    for line in lines:
+        got = _canon(pd.DataFrame(json.loads(line)))
+        pd.testing.assert_frame_equal(got, want)
 
 
 @pytest.fixture(scope="module")
@@ -140,24 +163,23 @@ def pool_index(ray_session, tmp_path_factory):
     return idx
 
 
-def _retrieve_canon(tbl, idx, k=20):
-    import ray.data as rd
-
-    from lucene_msmarco_ray.search.searcher import retrieve
-    return retrieve(rd.from_arrow(tbl), idx, scorer="bm25", k=k, k1=0.7,
-                    b=0.3, concurrency=2, preload=True).to_pandas() \
+def _stage_canon(tbl, idx, k=20):
+    """The oracle run of ``tbl``: an in-process single-reader searcher."""
+    from lucene_msmarco_ray.search.searcher import SearchStage
+    return SearchStage(idx, scorer="bm25", k=k, preload=True, k1=0.7,
+                       b=0.3)(tbl).to_pandas() \
         .sort_values(["qid", "rank"]).reset_index(drop=True)
 
 
 def test_searcher_pool_matches_retrieve_and_reuses(pool_index):
     """The persistent serving pool returns BIT-identical runs to the
-    Dataset retrieve() path, answers a second query set on the same
-    (warm) actors, caps in-flight futures, and shuts down cleanly."""
+    in-process searcher, answers a second query set on the same (warm)
+    actors, caps in-flight futures, and shuts down cleanly."""
     from lucene_msmarco_ray.search.service import SearcherPool
     from lucene_msmarco_ray.synth import generate_queries
 
     qtbl = generate_queries(40, seed=11)
-    want = _retrieve_canon(qtbl, pool_index)
+    want = _stage_canon(qtbl, pool_index)
     pool = SearcherPool(pool_index, n_actors=2, scorer="bm25", k=20,
                         num_cpus=0.5, k1=0.7, b=0.3)
     try:
@@ -166,7 +188,7 @@ def test_searcher_pool_matches_retrieve_and_reuses(pool_index):
         pd.testing.assert_frame_equal(got, want)   # bit-identical scores
         # same pool, different query set (the serving case)
         q2 = generate_queries(25, seed=23)
-        want2 = _retrieve_canon(q2, pool_index)
+        want2 = _stage_canon(q2, pool_index)
         got2 = pool.query(q2, batch_size=3, inflight_per_actor=1) \
             .to_pandas().sort_values(["qid", "rank"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got2, want2)
@@ -176,27 +198,28 @@ def test_searcher_pool_matches_retrieve_and_reuses(pool_index):
 
 
 def test_retrieve_small_query_set_has_no_empty_blocks(pool_index):
-    """11 queries on a pool of 2 actors (16 blocks wanted): the query set
-    is cut into one block per query, none empty, and the run equals the
-    in-process searcher's."""
+    """11 queries in batches of 3 on a pool of 2 actors: the run equals
+    the in-process searcher's, and its blocks hold 3 whole queries each
+    (the last one fewer), none empty."""
+    import ray
     import ray.data as rd
 
-    from lucene_msmarco_ray.search.searcher import (
-        SearchStage, _query_blocks, retrieve)
+    from lucene_msmarco_ray.search.searcher import SearchStage
+    from lucene_msmarco_ray.search.service import retrieve
     from lucene_msmarco_ray.synth import generate_queries
 
     qtbl = generate_queries(11, seed=29).slice(2)     # 11 of its 13 rows
-    blocks = _query_blocks(rd.from_arrow(qtbl), 16).materialize()
-    rows = [m.num_rows for bundle in blocks.iter_internal_ref_bundles()
-            for _, m in bundle.blocks]
-    assert rows == [1] * 11
     run = retrieve(rd.from_arrow(qtbl), pool_index, scorer="bm25", k=20,
-                   k1=0.7, b=0.3, concurrency=2)
+                   k1=0.7, b=0.3, concurrency=2, batch_size=3).materialize()
     want = SearchStage(pool_index, k=20, k1=0.7, b=0.3)(qtbl).to_pandas() \
         .sort_values(["qid", "rank"]).reset_index(drop=True)
     got = run.to_pandas().sort_values(["qid", "rank"]) \
         .reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want)
+    blocks = [ray.get(ref) for ref in run.to_arrow_refs()]
+    n_hit = want["qid"].nunique()
+    assert [len(b["qid"].unique()) for b in blocks] == \
+        [3] * (n_hit // 3) + ([n_hit % 3] if n_hit % 3 else [])
 
 
 def test_searcher_pool_empty_queries_typed_schema(pool_index):
@@ -225,7 +248,8 @@ EDGE_TEXTS = ["return index search", "", "merge partition value",
 @pytest.mark.parametrize("shape", ["text", "int-qid", "terms"])
 def test_searcher_pool_edge_queries_match_retrieve(pool_index, shape):
     """Zero-hit, duplicate-term and non-ASCII queries, integer qids and a
-    pre-analyzed ``terms`` column: the pool's run equals retrieve()'s."""
+    pre-analyzed ``terms`` column: the pool's run equals the in-process
+    searcher's."""
     import pyarrow as pa
 
     from lucene_msmarco_ray.search.searcher import SearchStage
@@ -241,7 +265,7 @@ def test_searcher_pool_edge_queries_match_retrieve(pool_index, shape):
         terms = [analyze(t) for t in EDGE_TEXTS]
         terms[6] = ["zzxqjv", "zzxqjv"]      # absent, repeated
         tbl = pa.table({"qid": [str(q) for q in qids], "terms": terms})
-    want = _retrieve_canon(tbl, pool_index)
+    want = _stage_canon(tbl, pool_index)
     pool = SearcherPool(pool_index, n_actors=2, scorer="bm25", k=20,
                         num_cpus=0.5, k1=0.7, b=0.3)
     try:
@@ -279,3 +303,66 @@ def test_searcher_pool_shutdown_leaves_no_process(pool_index):
     while alive() and time.monotonic() < stop:
         time.sleep(0.1)
     assert not alive()
+
+
+def test_retrieve_leaves_no_searcher_process(pool_index, monkeypatch):
+    """No searcher actor process outlives ``retrieve()``: neither when it
+    returns nor when it raises because an actor failed on a query batch."""
+    import time
+
+    import ray
+    import ray.data as rd
+
+    from lucene_msmarco_ray.search import service
+    pids: list[int] = []
+    orig_init = service.SearcherPool.__init__
+
+    def init(self, *args, **kwargs):
+        orig_init(self, *args, **kwargs)
+        pids.extend(ray.get([a.__ray_call__.remote(lambda _: os.getpid())
+                             for a in self.actors]))
+    monkeypatch.setattr(service.SearcherPool, "__init__", init)
+
+    def gone(ps: list[int]) -> bool:
+        stop = time.monotonic() + 30
+        while (any(os.path.exists(f"/proc/{p}") for p in ps)
+               and time.monotonic() < stop):
+            time.sleep(0.1)
+        return not any(os.path.exists(f"/proc/{p}") for p in ps)
+
+    ok = pa.table({"qid": ["1", "2", "3"],
+                   "text": ["return index", "merge value", "search"]})
+    run = service.retrieve(rd.from_arrow(ok), pool_index, k=5,
+                           concurrency=2, batch_size=2)
+    assert run.count() > 0
+    assert len(pids) == 2 and os.getpid() not in pids and gone(pids)
+
+    pids.clear()
+    # a null term list fails inside the actor on the second batch
+    bad = pa.table({"qid": ["1", "2"],
+                    "terms": pa.array([["index"], None],
+                                      pa.list_(pa.string()))})
+    with pytest.raises(ray.exceptions.RayTaskError) as failed:
+        service.retrieve(rd.from_arrow(bad), pool_index, k=5,
+                         concurrency=2, batch_size=1)
+    # the held traceback keeps the failed call's frames, and any pool in
+    # them, referenced: only an explicit shutdown ends the actors here
+    assert len(pids) == 2 and gone(pids), failed.value
+
+
+def test_search_modules_run_no_dataset_topology():
+    """Searchers start one way, on ``SearcherPool``: no module under
+    ``search/`` calls ``map_batches``, ``map_groups`` or ``groupby``."""
+    pkg = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "lucene_msmarco_ray", "search")
+    banned = {"map_batches", "map_groups", "groupby"}
+    offenders = []
+    for f in sorted(os.listdir(pkg)):
+        if f.endswith(".py"):
+            with open(os.path.join(pkg, f), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            offenders += [f"{f}:{n.lineno}" for n in ast.walk(tree)
+                          if isinstance(n, ast.Call)
+                          and isinstance(n.func, ast.Attribute)
+                          and n.func.attr in banned]
+    assert not offenders, offenders
