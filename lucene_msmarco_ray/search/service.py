@@ -165,8 +165,16 @@ class SearcherPool:
                          *map(np.concatenate, zip(*out)))
 
     def shutdown(self) -> None:
+        """Kill the actors and wait until Ray reports them dead, so their
+        CPUs are free when this returns: a task started right after would
+        otherwise wait about a second for them on a one-CPU cluster."""
         for a in self.actors:
             ray.kill(a)
+        for a in self.actors:
+            try:
+                ray.get(a.ping.remote())
+            except ray.exceptions.RayActorError:
+                pass
         self.actors = []
         self._groups = []
 
@@ -183,7 +191,10 @@ def _run_on_pool(queries: pa.Table, index_dir: str, batch_size: int = 64,
     """Answer ``queries`` on a pool opened for this call and shut down
     before it returns, also when a batch fails. The run Dataset has one
     block per ``batch_size`` queries with hits (a query's rows never
-    straddle two blocks), so downstream stages keep their parallelism."""
+    straddle two blocks), so downstream stages keep their parallelism.
+    ``from_blocks`` reads the blocks' metadata in the driver, where
+    ``from_arrow`` starts a remote task per block for it (about 1 s on a
+    one-CPU cluster, which must first start a worker)."""
     import ray.data as rd
 
     pool = SearcherPool(index_dir, **pool_kw)
@@ -193,8 +204,8 @@ def _run_on_pool(queries: pa.Table, index_dir: str, batch_size: int = 64,
         pool.shutdown()
     starts = np.flatnonzero(run["rank"].to_numpy() == 1)
     cuts = [0, *starts[batch_size::batch_size], run.num_rows]
-    return rd.from_arrow([run.slice(lo, hi - lo)
-                          for lo, hi in zip(cuts, cuts[1:])])
+    return rd.from_blocks([run.slice(lo, hi - lo)
+                           for lo, hi in zip(cuts, cuts[1:])])
 
 
 def retrieve(queries_ds, index_dir: str, *, scorer: str = "bm25",
