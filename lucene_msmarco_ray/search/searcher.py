@@ -25,6 +25,7 @@ global. A doc-partitioned ``SearcherPool`` holds one such
 :class:`SearchStage` per bucket and merges the per-bucket top-k — the same
 :func:`score_query_taat` scores both topologies.
 """
+
 from __future__ import annotations
 
 import os
