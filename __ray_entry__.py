@@ -1368,8 +1368,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def doc_stats(sf_dir: str):
         idx = _ensure_index(sf_dir)
-        from lucene_msmarco_ray.index.build import _staged_dirs, pads_dirs
-        t = pads_dirs(_staged_dirs(idx, "m")).to_table(columns=["doc_id", "dl"])
+        from lucene_msmarco_ray.index.manifest import Commit
+        t = Commit(idx).doc_meta()
         return pa.table({"doc_id": t["doc_id"].cast(pa.int64()),
                          "doc_len": t["dl"].cast(pa.int64())})
 

@@ -17,15 +17,16 @@ Cost model at scale: tokenize + staged write + encode of the NEW docs
 only, plus a vocabulary recount (a term-column scan of the segment
 metadata — O(vocab), not O(corpus)). The encode is one
 ``build.write_segment_dir`` task (the writer build and compaction share)
-per (shard, salt) group the new docs touched; each writes its
-``<pid>-segment.parquet`` straight into the live tree through a
-dot-prefixed temp file and ``os.replace``. Nothing existing is
-rewritten, so appending 1% of a 100-TB corpus costs ~1% of a build. The
-append is checkpointed exactly like a build partition (manifest + input
-lineage): a crashed append resumes, a re-run with unchanged inputs is a
-no-op for the tokenize stage and an idempotent overwrite for the encode
-stage (it first removes the files its pid prefix names, then writes
-them again).
+per (shard, salt) group the new docs touched; each writes one file into
+the live tree under the next generation's name, which no commit lists.
+Nothing existing is rewritten, so appending 1% of a 100-TB corpus costs
+~1% of a build. Readers see none of the append — its staged partition or
+its segment files — until :meth:`~.manifest.Manifest.commit` publishes the
+generation that lists them. The append is checkpointed exactly like a
+build partition (manifest + input lineage): a crashed append resumes, and
+a re-run writes the same files again (the commit deletes any leftover it
+does not list); a re-run of a committed append with unchanged inputs only
+commits again.
 
 Contract: appended ``id_col`` values must be dense and contiguous right
 after the existing docs (``[num_docs, num_docs + n_new)``) — verified
@@ -88,21 +89,20 @@ def append_documents(index_dir: str, ds, *, text_col: str = "text",
     Pass ``None`` to disable (manual compaction only).
     """
     man = Manifest.at(index_dir)
-    if not man.params or not man.merge_done:
+    if not man.committed:
         raise ValueError(f"{index_dir} is not a completed index build")
     cfg = config_from_params(man.params)
 
     if pid is None:
         seq = sum(1 for p in man.data["partitions"] if p.startswith("append"))
         pid = f"append{seq:03d}"
-    elif (input_lineage is not None
-          and man.partition_done(pid, input_lineage)
-          and any(a.get("pid") == pid
-                  for a in man.data.get("appends", []))):
-        # this exact append (same pid, same input lineage) already
-        # completed — checkpointed no-op; the commit is redone, so a crash
-        # inside the stats write heals on the re-run
-        return man.commit(man.stats)
+    elif pid in man.parts:
+        if not man.partition_done(pid, input_lineage):
+            raise ValueError(f"append {pid!r} is already committed from "
+                             "another input; append under a new pid")
+        # this exact append already committed: commit it again, so a
+        # crash after its commit heals on the re-run
+        return man.commit(man.stats, man.segments, man.parts)
 
     # ---- stage A: tokenize + staged write (same checkpoint machinery as a
     # build partition; a re-run with unchanged input lineage skips this) ----
@@ -111,10 +111,11 @@ def append_documents(index_dir: str, ds, *, text_col: str = "text",
                              key_col=key_col, in_sha=input_lineage)
 
     # ---- dense-id contract: this partition must cover exactly
-    # [total - n_new, total) where total = Σ rows over ALL partitions ----
-    parts = man.data["partitions"]
-    n_new = int(parts[pid]["rows"])
-    total = sum(int(p["rows"]) for p in parts.values())
+    # [total - n_new, total) where total = Σ rows over the committed
+    # partitions and this one ----
+    parts = man.parts + [pid]
+    n_new = int(man.data["partitions"][pid]["rows"])
+    total = sum(int(man.data["partitions"][p]["rows"]) for p in parts)
     part_dir = os.path.join(index_dir, "staged", f"part={pid}")
     meta_files = expand_parquet_files([os.path.join(part_dir, "kind=m")])
     lo, hi = _id_bounds(meta_files, "doc_id")
@@ -125,26 +126,19 @@ def append_documents(index_dir: str, ds, *, text_col: str = "text",
             "current num_docs")
 
     # ---- stage C: encode ONLY this partition's gkey groups; old segment
-    # rows are untouched (their salt-bucket doc ranges are disjoint, so the
-    # reader's concat_runs stitches per-term runs at load time). The
-    # pid-prefixed file name never collides with build or other appends;
-    # a re-run first removes its own files (and a crashed run's temps) ----
+    # files are untouched (their salt-bucket doc ranges are disjoint, so
+    # the reader's concat_runs stitches per-term runs at load time) ----
     seg_dir = os.path.join(index_dir, "segments")
-    for root, _, fs in os.walk(seg_dir):
-        for f in fs:
-            if f.startswith((f"{pid}-", f".{pid}-")):
-                os.remove(os.path.join(root, f))
+    segments = list(man.segments)
     pdir = os.path.join(part_dir, "kind=p")
     if os.path.isdir(pdir):
-        encode_segments([pdir], seg_dir, f"{pid}-segment.parquet",
-                        cfg.block_size)
+        segments += encode_segments([pdir], seg_dir, man.segment_name(),
+                                    cfg.block_size)
 
     # ---- stats: exact integer folds from the manifest + a vocab recount
     # (O(vocab) term-column scan — never O(corpus)) ----
-    man.data.setdefault("appends", []).append(
-        {"pid": pid, "rows": n_new,
-         "total_len": int(parts[pid]["total_len"])})
-    stats = man.commit(man.fold_stats(count_distinct_terms(seg_dir)))
+    stats = man.commit(man.fold_stats(
+        count_distinct_terms(seg_dir, segments), parts), segments, parts)
 
     if auto_compact_ratio is not None:
         from .compact import compact_index, fragmentation

@@ -9,10 +9,10 @@ Dataflow (SURVEY.md §3.1, operators I1-I7)::
         staged/part=<pid>/kind={p,f,m,l}   (ONE pass, ONE partitioned
         write: p = postings keyed by gkey=shard·2^20+salt, f = forward-index
         copy keyed by doc bucket, m = doc metadata + sha, l = lineage)
-    manifest partitions ──fold──► stats.json  (N, total_len → avgdl;
-        written by Manifest.commit)
     staged kind=p ──one plain ray.remote task per gkey (write_segment_dir)──►
-        segments/shard=S/salt=B/segment.parquet (varbyte + block-max)
+        segments/shard=S/salt=B/g<N>.parquet (varbyte + block-max)
+    manifest partitions ──fold──► stats (N, total_len → avgdl), published
+        with the segment list as generation N by Manifest.commit
 
 Ray Data runs only the tokenize stage, as one task per input block (one
 row group for the corpus readers): the stage takes whole blocks and cuts
@@ -21,8 +21,8 @@ a worker shares that worker's warm analysis cache (``stages.tokenize``).
 The encode reads each group's staged ``term`` column as dictionary codes
 and orders its postings by one argsort of (term rank, doc). Every segment
 file — build, append and compaction — is written by
-:func:`write_segment_dir`: one fixed-name file per (shard, salt) dir,
-terms sorted, so a build is byte-stable.
+:func:`write_segment_dir`: one file per (shard, salt) dir, named for the
+generation that publishes it, terms sorted, so a build is byte-stable.
 
 Shuffle inventory: exactly ONE exchange over the postings, realized as the
 partitioned staged write (no all-to-all operator). A salted term's runs
@@ -34,8 +34,11 @@ terms are split across salt buckets — the per-group memory bound is
 term's df (SURVEY.md I6).
 
 Resumability: tokenize partitions are skipped when their lineage sha matches
-(manifest); the segment tree is written to ``segments.tmp``, then renamed
-(a crashed merge re-runs from the staged files).
+(manifest); the encode is skipped when the committed generation already
+holds exactly the build's partitions. Segment files are written into the
+live tree under the next generation's name, which no commit lists, so a
+crashed encode is invisible to readers and its re-run rewrites the same
+files; the commit deletes whatever it does not list.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ from ray.data.datasource import FilenameProvider, SaveMode
 from ..config import EngineConfig
 from ..stages.tokenize import GKEY_SALT_SPAN, TokenizeStage
 from .codec import TermPostings, encode_group_postings
-from .manifest import Manifest, config_params
+from .manifest import (Manifest, config_params, gkey_dirs, segment_dir_key,
+                       staged_dirs)
 
 SEGMENT_SCHEMA = pa.schema([
     ("term", pa.string()),
@@ -220,22 +224,15 @@ def encode_segments(pdirs: list[str], root: str, name: str,
                     block_size: int) -> dict[int, int]:
     """Encode every gkey group of the staged ``kind=p`` dirs ``pdirs`` —
     one :func:`write_segment_dir` task per (shard, salt), no exchange.
-    Returns gkey → segment rows written."""
-    groups = sorted(_gkey_dirs(pdirs).items())
+    Returns each written file's path under ``root`` → its row count."""
+    groups = sorted(gkey_dirs(pdirs).items())
     rows = ray.get([write_segment_dir.remote(
         root, k // GKEY_SALT_SPAN, k % GKEY_SALT_SPAN, name,
         partial(_EncodeGkeyTask(block_size), pd.DataFrame(
             [{"gkey": k, "files": expand_parquet_files(ds)}])))
         for k, ds in groups])
-    return {k: n for (k, _), n in zip(groups, rows)}
-
-
-def pads_dirs(dirs: list[str]) -> pads.Dataset:
-    """pyarrow dataset over a list of directories (pads.dataset() itself only
-    accepts one dir, or a list of files/datasets)."""
-    if len(dirs) == 1:
-        return pads.dataset(dirs[0])
-    return pads.dataset([pads.dataset(d) for d in dirs])
+    return {f"shard={k // GKEY_SALT_SPAN}/salt={k % GKEY_SALT_SPAN}/{name}": n
+            for (k, _), n in zip(groups, rows)}
 
 
 def expand_parquet_files(dirs: list[str]) -> list[str]:
@@ -248,32 +245,6 @@ def expand_parquet_files(dirs: list[str]) -> list[str]:
     return sorted(out)
 
 
-def _gkey_dirs(pdirs: list[str]) -> dict[int, list[str]]:
-    """gkey → its ``gkey=K`` directories across the staged ``kind=`` dirs
-    ``pdirs`` (one per build partition that wrote the key)."""
-    out: dict[int, list[str]] = {}
-    for pdir in pdirs:
-        for entry in sorted(os.listdir(pdir)):
-            if entry.startswith("gkey="):
-                out.setdefault(int(entry.split("=", 1)[1]), []).append(
-                    os.path.join(pdir, entry))
-    return out
-
-
-def fwd_bucket_dirs(index_dir: str) -> dict[int, list[str]]:
-    """doc-bucket → directories of the forward index (kind=f rows), across
-    all staged build partitions. A bucket's term vectors are the union of
-    its dirs (one per build partition that saw docs of that range)."""
-    out = _gkey_dirs(_staged_dirs(index_dir, "f"))
-    if not out and (Manifest.at(index_dir).params or {}).get("emit_fwd") \
-            is False:
-        raise RuntimeError(
-            f"index {index_dir} was built with emit_fwd=False — "
-            "term-vector / feedback operators need a forward index; "
-            "rebuild with EngineConfig(emit_fwd=True)")
-    return out
-
-
 def file_lineage(paths: list[str]) -> str:
     """Cheap input-lineage digest for resume invalidation: (path, size,
     mtime_ns) per file — no content read. Callers pass this alongside a
@@ -284,17 +255,6 @@ def file_lineage(paths: list[str]) -> str:
         st = os.stat(p)
         h.update(f"{p}|{st.st_size}|{st.st_mtime_ns}\n".encode())
     return h.hexdigest()
-
-
-def _staged_dirs(out_dir: str, kind: str) -> list[str]:
-    base = os.path.join(out_dir, "staged")
-    if not os.path.isdir(base):
-        return []
-    return sorted(
-        os.path.join(base, p, f"kind={kind}")
-        for p in os.listdir(base)
-        if p.startswith("part=") and os.path.isdir(os.path.join(base, p, f"kind={kind}"))
-    )
 
 
 class _FirstDocName(FilenameProvider):
@@ -367,26 +327,28 @@ def stage_tokenize_partition(out_dir: str, man: Manifest, pid: str, ds,
 
 
 @ray.remote
-def _distinct_terms(d: str) -> int:
+def _distinct_terms(files: list[str]) -> int:
     return pc.count_distinct(
-        pads.dataset(d).to_table(columns=["term"])["term"]).as_py()
+        pads.dataset(files).to_table(columns=["term"])["term"]).as_py()
 
 
-def distinct_terms_per_dir(dirs: list[str]) -> list[int]:
-    """Distinct terms of each segment directory: one plain task per dir
-    that scans ONLY the term column, so one task's memory is that dir's
-    vocab slice. Shared by :func:`count_distinct_terms` (shard dirs) and
-    ``compact.fragmentation`` ((shard, salt) dirs)."""
-    return ray.get([_distinct_terms.remote(d) for d in dirs])
+def distinct_terms_per_group(groups: list[list[str]]) -> list[int]:
+    """Distinct terms of each group of segment files: one plain task per
+    group that scans ONLY the term column, so one task's memory is that
+    group's vocab slice. Shared by :func:`count_distinct_terms` (shards)
+    and ``compact.fragmentation`` ((shard, salt) dirs)."""
+    return ray.get([_distinct_terms.remote(g) for g in groups])
 
 
-def count_distinct_terms(seg_dir: str) -> int:
-    """Vocabulary size of an index's segment tree: distinct terms counted
-    per shard — terms never cross shards (at extreme vocab sizes swap in
-    a sketch)."""
-    return sum(distinct_terms_per_dir(sorted(
-        os.path.join(seg_dir, e) for e in os.listdir(seg_dir)
-        if e.startswith("shard="))))
+def count_distinct_terms(seg_dir: str, segments: list[str]) -> int:
+    """Vocabulary size of the segment files ``segments`` (paths under
+    ``seg_dir``): distinct terms counted per shard — terms never cross
+    shards (at extreme vocab sizes swap in a sketch)."""
+    by_shard: dict[int, list[str]] = {}
+    for rel in segments:
+        by_shard.setdefault(segment_dir_key(rel)[0], []).append(
+            os.path.join(seg_dir, rel))
+    return sum(distinct_terms_per_group(list(by_shard.values())))
 
 
 def build_index(
@@ -414,9 +376,10 @@ def build_index(
     os.makedirs(out_dir, exist_ok=True)
     man = Manifest.at(out_dir)
     if not resume:
-        for sub in ("staged", "segments"):
-            shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
+        # give up the committed generation before its staged files go
         man.reset()
+        man.save()
+        shutil.rmtree(os.path.join(out_dir, "staged"), ignore_errors=True)
     man.set_params(config_params(cfg, text_col, id_col))
 
     if partitions is None:
@@ -432,20 +395,13 @@ def build_index(
             out_dir, man, pid, ds, cfg, text_col=text_col, id_col=id_col,
             key_col=key_col, in_sha=in_sha)
 
-    if any_rebuilt:
-        # changed/new inputs invalidate the downstream merge checkpoint
-        man.mark_merge(done=False)
-
     stage_secs["tokenize"] = round(_time.monotonic() - _t0, 3)
     _t0 = _time.monotonic()
 
-    # ---- stage C/D: shuffle-merge postings into segments ----
-    seg_dir = os.path.join(out_dir, "segments")
-    if not (man.merge_done and os.path.isdir(seg_dir)):
-        seg_tmp = seg_dir + ".tmp"
-        shutil.rmtree(seg_tmp, ignore_errors=True)
-        shutil.rmtree(seg_dir, ignore_errors=True)
-        os.makedirs(seg_tmp)
+    # ---- stage C/D: shuffle-merge postings into segments, unless the
+    # committed generation already holds exactly these partitions ----
+    parts = sorted(man.data["partitions"])
+    if any_rebuilt or parts != man.parts:
         # the staged write already partitioned postings by gkey: the merge is
         # one independent task per (shard, salt) group — no all-to-all
         # operator (Ray's sort shuffle showed 2x run-to-run wall variance
@@ -453,22 +409,22 @@ def build_index(
         # runs stay as separate segment ROWS and the reader concats them at
         # load time (codec.concat_runs, zero decode). Round-1's eager
         # groupby(shard) merge cost 6.5s of the 2M-doc build for nothing.
-        rows = encode_segments(_staged_dirs(out_dir, "p"), seg_tmp,
-                               "segment.parquet", cfg.block_size)
-        os.replace(seg_tmp, seg_dir)
+        seg_dir = os.path.join(out_dir, "segments")
+        rows = encode_segments(staged_dirs(out_dir, parts, "p"), seg_dir,
+                               man.segment_name(), cfg.block_size)
+        segments = list(rows)
         # one salt bucket: one row per (term, shard), so the rows written
         # ARE the vocabulary; otherwise count distinct terms per shard
         n_terms = sum(rows.values()) \
-            if len({k % GKEY_SALT_SPAN for k in rows}) <= 1 \
-            else count_distinct_terms(seg_dir)
-        man.mark_merge()
+            if len({segment_dir_key(f)[1] for f in rows}) <= 1 \
+            else count_distinct_terms(seg_dir, segments)
     else:
-        n_terms = man.stats["num_terms"]
+        segments, n_terms = man.segments, man.stats["num_terms"]
     stage_secs["merge"] = round(_time.monotonic() - _t0, 3)
 
     # ---- global stats (I4): folded from the manifest's per-partition
     # (rows, total_len), recorded by the lineage pass — no re-read of the
     # meta files ----
-    stats = man.fold_stats(n_terms)
+    stats = man.fold_stats(n_terms, parts)
     stats["stage_secs"] = stage_secs
-    return man.commit(stats)
+    return man.commit(stats, segments, parts)

@@ -209,12 +209,12 @@ def _micro_vocab_ds(vocab, total: float):
 
 
 def _explode_terms(id_col: str, text_col: str,
-                   emit_sentinels: bool = True):
+                   emit_empty_docs: bool = True):
     """Batch fn: docs → batch-locally aggregated (doc_id, key, tf) unit
     rows for the bucketed-join scoring path, with a (key='', tf=0)
     sentinel per EMPTY doc so it survives the join (whitespace
     tokenization never yields an empty token). Pass
-    ``emit_sentinels=False`` for consumers whose contract DROPS empty
+    ``emit_empty_docs=False`` for consumers whose contract DROPS empty
     docs (tf-idf)."""
     import pandas as pd
 
@@ -239,7 +239,7 @@ def _explode_terms(id_col: str, text_col: str,
             udoc = np.empty(0, np.int64)
             keys = np.empty(0, object)
             tf = np.empty(0, np.int64)
-        empty_docs = (np.flatnonzero(counts == 0) if emit_sentinels
+        empty_docs = (np.flatnonzero(counts == 0) if emit_empty_docs
                       else np.empty(0, np.int64))
         if empty_docs.size:
             udoc = np.concatenate([udoc, empty_docs])
@@ -1119,7 +1119,7 @@ def _df_counts_ds(ds, text_col: str):
     return red, red.count() - 1
 
 
-def _split_df_sentinel(pdf):
+def _split_df_total(pdf):
     """(term, df) pandas WITH the sentinel row → (vocab rows, N docs)."""
     is_sent = pdf["term"] == ""
     n_docs = int(pdf.loc[is_sent, "df"].iloc[0])
@@ -1130,7 +1130,7 @@ def _df_micro_idf(ds, text_col: str):
     """Driver-array form of :func:`_df_counts_ds` for the broadcast
     path → (terms, micro_idf int64, N)."""
     red, _n = _df_counts_ds(ds, text_col)
-    pdf, n_docs = _split_df_sentinel(red.to_pandas())
+    pdf, n_docs = _split_df_total(red.to_pandas())
     terms = pdf["term"].to_numpy(dtype=object)
     df = pdf["df"].to_numpy(np.float64)
     micro = np.floor(np.log(n_docs / df) * 1e6 + 0.5).astype(np.int64)
@@ -1233,7 +1233,7 @@ def tfidf_keywords(ds, k: int = 5, text_col: str = "text",
                              "micro": pa.array(micro)})
 
         units = ds.map_batches(
-            _explode_terms(id_col, text_col, emit_sentinels=False),
+            _explode_terms(id_col, text_col, emit_empty_docs=False),
             batch_format="pyarrow")
         resolved = resolve_micro(
             units, vocab.map_batches(to_micro, batch_format="pyarrow"),
@@ -1259,7 +1259,7 @@ def tfidf_keywords(ds, k: int = 5, text_col: str = "text",
                 "score": pa.array(sm / 1e6)})
         return top.map_batches(finish, batch_format="pyarrow")
 
-    pdf, n_docs = _split_df_sentinel(red.to_pandas())
+    pdf, n_docs = _split_df_total(red.to_pandas())
     terms = pdf["term"].to_numpy(dtype=object)
     dfv = pdf["df"].to_numpy(np.float64)
     micro = np.floor(np.log(n_docs / dfv) * 1e6 + 0.5).astype(np.int64)

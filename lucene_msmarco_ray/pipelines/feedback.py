@@ -400,7 +400,7 @@ class _LmDocWeightStage:
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         from ..fdbk.srlm import LAMBDA_ODDS
-        from ..index.build import pads_dirs
+        from ..index.manifest import pads_dirs
         out = []
         for dirs in batch["dirs"]:
             t = pads_dirs(list(dirs)).to_table(
@@ -440,13 +440,13 @@ def lm_doc_weights(index_dir: str, concurrency=(1, 8)):
     shuffle-free map over bucket descriptors."""
     import ray.data as rd
 
-    from ..index.build import fwd_bucket_dirs
-    from ..index.manifest import read_stats, term_totals
-    tot = term_totals(index_dir)
+    from ..index.manifest import Commit
+    commit = Commit(index_dir)
+    tot = commit.term_totals()
     df_ref = ray.put(dict(zip(tot["term"].to_pylist(),
                               tot["df"].to_pylist())))
-    num_docs = read_stats(index_dir)["num_docs"]
-    buckets = fwd_bucket_dirs(index_dir)
+    num_docs = commit.stats["num_docs"]
+    buckets = commit.fwd_bucket_dirs()
     if not buckets:
         raise FileNotFoundError(
             f"no forward index (staged kind=f) under {index_dir} — rebuild "

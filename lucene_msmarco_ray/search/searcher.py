@@ -28,18 +28,16 @@ global. A doc-partitioned ``SearcherPool`` holds one such
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 from ..analysis import get_analyzer
-from ..index.build import _staged_dirs, pads_dirs, term_shard
+from ..index.build import term_shard
 from ..index.codec import TermPostings, concat_runs, decode_all, segment_runs
-from ..index.manifest import read_stats, term_totals
+from ..index.manifest import Commit, pads_dirs
 from .scoring import make_scorer
 
 RUN_SCHEMA = pa.schema([
@@ -104,11 +102,11 @@ class IndexReader:
         ``global_stats``, a term → (df, cf) dict that a caller holding
         several bucket readers shares between them (one metadata read per
         term, not one per bucket)."""
-        # read_stats restores a compaction that crashed between its two
-        # renames on OPEN (not just on the next compact) — otherwise the
-        # reader would silently serve an empty index
+        # every read of the reader opens only what this commit lists, so
+        # it sees one generation whatever a writer does meanwhile
         self.index_dir = index_dir
-        self.stats = read_stats(index_dir)
+        self._commit = Commit(index_dir)
+        self.stats = self._commit.stats
         self.num_docs = int(self.stats["num_docs"])
         self.avgdl = float(self.stats["avgdl"])
         self.total_len = int(self.stats["total_len"])
@@ -128,7 +126,7 @@ class IndexReader:
             import ray
             seg_tbl, meta_tbl = ray.get(preload_ref)
         elif preload:
-            seg_tbl, meta_tbl = preload_tables(index_dir)
+            seg_tbl, meta_tbl = _preload(self._commit)
         self._load_doc_lens(meta_tbl)
         self._cache: dict[str, TermPostings | None] = {}
         # per-(term, scorer) contribution cache: a term's per-posting score
@@ -149,8 +147,7 @@ class IndexReader:
                 in_bucket = ((pc.field("doc_id") >= self.doc_base)
                              & (pc.field("doc_id")
                                 < self.doc_base + self._bucket_docs))
-            t = pads_dirs(_staged_dirs(self.index_dir, "m")).to_table(
-                columns=["doc_id", "dl"], filter=in_bucket)
+            t = self._commit.doc_meta(in_bucket)
         ids = t["doc_id"].to_numpy(zero_copy_only=False) - self.doc_base
         dls = t["dl"].to_numpy(zero_copy_only=False)
         size = int(ids.max()) + 1 if len(ids) else 0
@@ -167,17 +164,13 @@ class IndexReader:
         return self._acc, self._match
 
     # --- term postings ---
-    def _shard_dir(self, shard: int) -> str:
-        d = os.path.join(self.index_dir, "segments", f"shard={shard}")
-        return d if self.salt is None else os.path.join(d, f"salt={self.salt}")
-
     def _rows_to_cache(self, tbl: pa.Table) -> None:
         for term, runs in segment_runs(tbl).items():
             self._cache[term] = concat_runs(runs)
 
     def prefetch(self, terms: list[str]) -> None:
         """Batched fetch of missing terms: one term-filtered read over the
-        shard dirs that hold them."""
+        committed segment files of the shards that hold them."""
         if self._preloaded:
             return
         missing = sorted({t for t in terms if t not in self._cache})
@@ -185,12 +178,9 @@ class IndexReader:
             return
         if self.salt is not None:
             self._fetch_global_stats(missing)
-        dirs = [d for d in map(self._shard_dir, sorted(
-            {term_shard(t, self.num_shards) for t in missing}))
-            if os.path.isdir(d)]
-        if dirs:
-            self._rows_to_cache(pads_dirs(dirs).to_table(
-                filter=pc.field("term").isin(missing)))
+        self._rows_to_cache(self._commit.read_segments(
+            {term_shard(t, self.num_shards) for t in missing}, self.salt,
+            filter=pc.field("term").isin(missing)))
         for t in missing:
             tp = self._cache.setdefault(t, None)  # None: df = 0 terms
             if tp is not None and self.salt is not None:
@@ -202,7 +192,7 @@ class IndexReader:
         readers do not ask again."""
         todo = [t for t in terms if t not in self._global]
         if todo:
-            t = term_totals(self.index_dir, todo)
+            t = self._commit.term_totals(todo)
             self._global.update(dict.fromkeys(todo, (0, 0)))
             self._global.update(zip(t["term"].to_pylist(), zip(
                 t["df"].to_pylist(), t["cf"].to_pylist())))
@@ -254,16 +244,15 @@ class IndexReader:
         ids = sorted(set(int(d) for d in doc_ids))
         if not ids:
             return {}
-        from ..index.build import fwd_bucket_dirs, pads_dirs
         bucket_docs = self.stats.get("fwd_bucket_docs")
         if not bucket_docs:
             raise RuntimeError(
-                f"index {self.index_dir} has no forward index (stats.json "
-                "lacks fwd_bucket_docs: built before the forward-index "
-                "stage) — term-vector / feedback operators need one; "
-                "rebuild the index")
+                f"index {self.index_dir} has no forward index (its "
+                "committed stats lack fwd_bucket_docs: built before the "
+                "forward-index stage) — term-vector / feedback operators "
+                "need one; rebuild the index")
         if not hasattr(self, "_fwd_dirs"):
-            self._fwd_dirs = fwd_bucket_dirs(self.index_dir)
+            self._fwd_dirs = self._commit.fwd_bucket_dirs()
         dirs = [d for b in sorted({i // bucket_docs for i in ids})
                 for d in self._fwd_dirs.get(b, ())]
         if not dirs:
@@ -347,13 +336,12 @@ def preload_tables(index_dir: str) -> tuple[pa.Table, pa.Table]:
     ``IndexReader(idx, preload_ref=ref)`` per actor. Requires the
     index-fits-one-node preload mode (beyond that, a doc-partitioned
     ``SearcherPool`` runs one salt-bucket reader per doc shard)."""
-    read_stats(index_dir)    # restores an interrupted compaction first
-    seg = os.path.join(index_dir, "segments")
-    seg_tbl = (pads.dataset(seg).to_table() if os.path.isdir(seg)
-               else pa.table({}))
-    meta_tbl = pads_dirs(_staged_dirs(index_dir, "m")).to_table(
-        columns=["doc_id", "dl"])
-    return seg_tbl.combine_chunks(), meta_tbl.combine_chunks()
+    return _preload(Commit(index_dir))
+
+
+def _preload(commit: Commit) -> tuple[pa.Table, pa.Table]:
+    return (commit.read_segments().combine_chunks(),
+            commit.doc_meta().combine_chunks())
 
 
 class SearchStage:

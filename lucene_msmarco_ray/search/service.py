@@ -183,6 +183,9 @@ def _collect(queries_ds) -> pa.Table:
     """A query Dataset as one driver-side table (qid plus text or terms:
     small), read before any searcher takes a CPU."""
     tables = ray.get(queries_ds.to_arrow_refs())
+    if not tables:      # a Dataset with no blocks: no queries, no schema
+        return pa.table({"qid": pa.array([], pa.string()),
+                         "text": pa.array([], pa.string())})
     return pa.concat_tables(tables, promote_options="default")
 
 

@@ -87,14 +87,14 @@ def write_sparse_vecs(index_dir: str, out_dir: str) -> tuple[str, str]:
     doc's rows, so one task per bucket groups in memory (vectorized)."""
     import ray.data as rd
 
-    from ..index.build import fwd_bucket_dirs
+    from ..index.manifest import Commit
     os.makedirs(out_dir, exist_ok=True)
     vocab_path = os.path.join(out_dir, "vocab.txt")
     with open(vocab_path, "w", encoding="utf-8") as f:
         for i, t in enumerate(term_totals(index_dir)["term"].to_pylist()):
             f.write(f"{t}\t{i}\n")
 
-    buckets = fwd_bucket_dirs(index_dir)
+    buckets = Commit(index_dir).fwd_bucket_dirs()
     if not buckets:
         raise FileNotFoundError(f"no forward index under {index_dir}")
 
@@ -102,7 +102,7 @@ def write_sparse_vecs(index_dir: str, out_dir: str) -> tuple[str, str]:
         import numpy as np
         import pandas as pd
 
-        from ..index.build import pads_dirs as _pads_dirs
+        from ..index.manifest import pads_dirs as _pads_dirs
         out = []
         for dirs in b["dirs"]:
             t = _pads_dirs(list(dirs)).to_table(

@@ -111,6 +111,7 @@ def run_search_topologies(files: list[str], n_docs: int,
 
     from lucene_msmarco_ray.config import EngineConfig
     from lucene_msmarco_ray.index.build import build_index, file_lineage
+    from lucene_msmarco_ray.index.manifest import read_stats
     from lucene_msmarco_ray.search.service import retrieve, retrieve_sharded
     from lucene_msmarco_ray.sources.corpus import read_code_corpus
     from lucene_msmarco_ray.synth import generate_queries
@@ -118,16 +119,18 @@ def run_search_topologies(files: list[str], n_docs: int,
     out = {}
     idx_dir = f"/tmp/graft_scale_idx_{n_docs}"
     cfg = EngineConfig(analyzer="english", num_shards=32, emit_fwd=False)
-    if not os.path.exists(os.path.join(idx_dir, "stats.json")):
+    try:
+        stats = read_stats(idx_dir)
+    except (FileNotFoundError, ValueError):     # none, or an older layout
         shutil.rmtree(idx_dir, ignore_errors=True)
         t0 = time.time()
-        build_index(read_code_corpus(files, columns=["content"]), idx_dir,
-                    cfg, text_col="content", id_col="doc_id",
-                    key_col="doc_key", input_lineage=file_lineage(files))
+        stats = build_index(read_code_corpus(files, columns=["content"]),
+                            idx_dir, cfg, text_col="content",
+                            id_col="doc_id", key_col="doc_key",
+                            input_lineage=file_lineage(files))
         out["build_sec"] = round(time.time() - t0, 2)
         out["build_docs_per_sec"] = round(n_docs / out["build_sec"], 1)
-    with open(os.path.join(idx_dir, "stats.json")) as f:
-        out["n_salt"] = int(json.load(f).get("n_salt", 1))
+    out["n_salt"] = int(stats.get("n_salt", 1))
 
     qtbl = generate_queries(n_queries, seed=7)
 

@@ -92,28 +92,22 @@ def test_append_rerun_idempotent(corpora):
                               pid="rest", input_lineage="rest-v1")
     assert stats2["num_docs"] == stats1["num_docs"]
     assert _term_table(app_dir).equals(before)
-    # crash-recovery path: appends record missing (crash between encode
-    # and manifest save) → encode re-runs and replaces the pid's own files
-    # in place — still identical output. A stale pid file (and a crashed
-    # write's dot-temp) in a salt dir the re-run does NOT write must go too.
+    # the commit deletes what it does not list: a stale file (a copy of
+    # another dir's segment) and a crashed write's dot-temp in a salt dir
+    # the re-run does NOT write are gone after it, output unchanged
     import shutil
-
-    from lucene_msmarco_ray.index.manifest import Manifest
-    man = Manifest(os.path.join(app_dir, "manifest.json"))
-    man.data["appends"] = []
-    man.save()
     seg = os.path.join(app_dir, "segments")
     stale = os.path.join(seg, "shard=0", "salt=0", "rest-segment.parquet")
     assert not os.path.exists(stale)
-    shutil.copy(os.path.join(seg, "shard=1", "salt=0", "segment.parquet"),
-                stale)
+    d = os.path.join(seg, "shard=1", "salt=0")
+    shutil.copy(os.path.join(d, sorted(os.listdir(d))[0]), stale)
     shutil.copy(stale, os.path.join(seg, "shard=0", "salt=0",
                                     ".rest-segment.parquet.tmp"))
     assert not _term_table(app_dir).equals(before)
     stats3 = append_documents(app_dir, rest, text_col="content",
                               id_col="doc_id", key_col="doc_key",
                               pid="rest", input_lineage="rest-v1")
-    assert stats3["num_docs"] == stats1["num_docs"]
+    assert stats3 == stats1
     assert not os.path.exists(stale)
     left = [os.path.join(r, f) for r, _, fs in os.walk(seg) for f in fs
             if f.startswith(".")]
@@ -236,11 +230,8 @@ def test_append_chain_matches_full_build(ray_session, tmp_path_factory):
 def test_compact_after_appends_is_bit_identical(ray_session,
                                                 tmp_path_factory):
     """Compaction folds per-append posting runs to one row per (term,
-    shard, salt) with bit-identical search results, survives a simulated
-    crash between the renames, is idempotent, and later appends still
-    work on the compacted tree."""
-    import shutil
-
+    shard, salt) with bit-identical search results, is idempotent, and
+    later appends still work on the compacted tree."""
     import pyarrow.dataset as pads
 
     from collections import Counter
@@ -309,19 +300,6 @@ def test_compact_after_appends_is_bit_identical(ray_session,
     again = compact_index(idx)
     assert again["rows_before"] == again["rows_after"] == n_unique
 
-    # crash recovery path A: a plain OPEN restores the backup (a reader
-    # must never silently serve an empty index)
-    shutil.move(seg, seg + ".pre-compact")
-    assert list(runs(IndexReader(idx, preload=True))[0][0]) \
-        == list(after[0][0])
-    assert os.path.isdir(seg)
-    # crash recovery path B: the next compact also restores + refolds
-    shutil.move(seg, seg + ".pre-compact")
-    summary3 = compact_index(idx)
-    assert summary3["rows_after"] == n_unique
-    assert list(runs(IndexReader(idx, preload=True))[0][0]) \
-        == list(after[0][0])
-
     # appends still work post-compaction (ids stay dense)
     extra_dir = tmp_path_factory.mktemp("compsynth2")
     efiles = generate_corpus(500, seed=21, n_files=4,
@@ -335,18 +313,14 @@ def test_compact_after_appends_is_bit_identical(ray_session,
 
 
 def test_compact_failure_leaves_segments_untouched(corpora, tmp_path):
-    """A dir task that fails (one corrupt parquet file) makes compaction
-    raise before the swap: ``segments/`` keeps every file byte for byte,
-    no sentinel is left, and once the file is restored it compacts."""
+    """A corrupt segment file makes compaction raise before its commit:
+    ``segments/`` keeps every file byte for byte, and once the file is
+    restored it compacts."""
     import shutil
 
     import pyarrow as pa
 
-    from lucene_msmarco_ray.index.compact import (
-        _sentinel_path,
-        compact_index,
-        fragmentation,
-    )
+    from lucene_msmarco_ray.index.compact import compact_index, fragmentation
     _, _, app_dir, _ = corpora
     idx = str(tmp_path / "idx")
     shutil.copytree(app_dir, idx)
@@ -366,8 +340,8 @@ def test_compact_failure_leaves_segments_untouched(corpora, tmp_path):
     with pytest.raises(pa.ArrowInvalid):
         compact_index(idx)
     assert snapshot() == before
-    assert not os.path.exists(_sentinel_path(idx))
-    assert not os.path.exists(seg + ".pre-compact")
+    assert sorted(os.listdir(idx)) == ["manifest.json", "segments",
+                                       "staged", "stats.json"]
 
     open(victim, "wb").write(good)
     rows, unique = fragmentation(seg)
@@ -375,46 +349,75 @@ def test_compact_failure_leaves_segments_untouched(corpora, tmp_path):
     assert (summary["rows_before"], summary["rows_after"]) == (rows, unique)
 
 
-def test_compact_sentinel_blocks_reader_mid_swap(ray_session,
-                                                 tmp_path_factory):
-    """A reader opening inside compaction's swap window (backup present,
-    segments missing, sentinel naming a LIVE pid) must raise rather than
-    restore the backup out from under the writer; once the sentinel pid
-    is dead, the same open auto-recovers as before."""
-    import json as _json
-    import shutil
-    import socket
-    import subprocess
-    import sys
+def test_compact_crash_before_commit_keeps_previous_generation(
+        ray_session, tmp_path_factory, monkeypatch):
+    """A compaction that crashes after writing its files and before its
+    commit leaves the previous generation: a reader sees it bit for bit
+    (its files and its search results), no other path appears next to
+    ``segments/``, and a re-run compacts."""
+    import hashlib
+    from collections import Counter
 
-    import pytest
+    from lucene_msmarco_ray.analysis import get_analyzer
+    from lucene_msmarco_ray.index import manifest as manifest_mod
+    from lucene_msmarco_ray.index.compact import compact_index, fragmentation
+    from lucene_msmarco_ray.index.manifest import Commit
 
-    from lucene_msmarco_ray.index.build import build_index
-    from lucene_msmarco_ray.index.compact import _sentinel_path
-    from lucene_msmarco_ray.search.searcher import IndexReader
-    out = tmp_path_factory.mktemp("sentinel")
-    files = generate_corpus(120, seed=9, n_files=2, out_dir=str(out))
-    idx = str(out / "idx")
-    cfg = EngineConfig(analyzer="english", num_shards=1)
-    build_index(read_code_corpus(files), idx, cfg, text_col="content",
-                id_col="doc_id", key_col="doc_key")
+    d = tmp_path_factory.mktemp("crashsynth")
+    files = generate_corpus(300, seed=9, n_files=3, out_dir=str(d))
+    cfg = EngineConfig(analyzer="english", num_shards=2, block_size=32,
+                       salt_docs_per_bucket=10_000)
+    idx = str(tmp_path_factory.mktemp("cidx") / "idx")
+    build_index(read_code_corpus(files).filter(expr="doc_id < 200"), idx,
+                cfg, text_col="content", id_col="doc_id", key_col="doc_key")
+    append_documents(idx, read_code_corpus(files).filter(
+        expr="doc_id >= 200"), text_col="content", id_col="doc_id",
+        key_col="doc_key", pid="a0", input_lineage="a0",
+        auto_compact_ratio=None)
     seg = os.path.join(idx, "segments")
 
-    # simulate the mid-swap window with a live writer: this process
-    shutil.move(seg, seg + ".pre-compact")
-    with open(_sentinel_path(idx), "w") as f:
-        _json.dump({"pid": os.getpid(), "host": socket.gethostname()}, f)
-    with pytest.raises(RuntimeError, match="in progress"):
-        IndexReader(idx, preload=True)
-    assert not os.path.isdir(seg)            # backup untouched
+    def committed():
+        return {f: hashlib.sha256(open(f, "rb").read()).hexdigest()
+                for f in Commit(idx).segment_files()}
 
-    # dead writer: pick a pid that certainly isn't running
-    p = subprocess.Popen([sys.executable, "-c", "pass"])
-    p.wait()
-    with open(_sentinel_path(idx), "w") as f:
-        _json.dump({"pid": p.pid, "host": socket.gethostname()}, f)
-    r = IndexReader(idx, preload=True)
-    assert os.path.isdir(seg) and r is not None
+    an = get_analyzer("english")
+    sc = BM25Scorer(k1=0.7, b=0.3)
+
+    def runs():
+        r = IndexReader(idx, preload=True)
+        out = []
+        for row in generate_queries(10, seed=5).to_pylist():
+            q = {t: float(c) for t, c in Counter(an(row["text"])).items()}
+            if q:
+                ids, scores = score_query_taat(r, q, 20, sc)
+                out.append((list(ids), list(scores)))
+        return out
+
+    files_before, runs_before = committed(), runs()
+    entries = sorted(os.listdir(idx))
+    rows, unique = fragmentation(seg)
+    assert rows > unique
+
+    def crash(*a, **kw):
+        raise RuntimeError("simulated crash before the commit")
+
+    monkeypatch.setattr(manifest_mod.Manifest, "save", crash)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        compact_index(idx)
+    monkeypatch.undo()
+    written = [os.path.join(r, f) for r, _, fs in os.walk(seg) for f in fs
+               if os.path.join(r, f) not in files_before]
+    assert written                        # its files were written ...
+    assert committed() == files_before    # ... and no reader sees them
+    assert runs() == runs_before
+    assert sorted(os.listdir(idx)) == entries
+    assert fragmentation(seg) == (rows, unique)
+
+    summary = compact_index(idx)
+    assert (summary["rows_before"], summary["rows_after"]) == (rows, unique)
+    assert fragmentation(seg) == (unique, unique)
+    assert runs() == runs_before
+    assert set(written) <= set(Commit(idx).segment_files())   # same names
 
 
 def test_auto_compaction_triggers_exactly_once(ray_session,

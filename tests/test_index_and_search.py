@@ -70,8 +70,8 @@ def test_forward_index_buckets(ray_session, tmp_path, corpus_tokens):
     cfg = CFG.with_(fwd_docs_per_bucket=64)      # force many buckets
     stats = build_index(ds, out, cfg, text_col="text", id_col="doc_id")
     assert stats["fwd_bucket_docs"] == 64
-    from lucene_msmarco_ray.index.build import fwd_bucket_dirs
-    buckets = fwd_bucket_dirs(out)
+    from lucene_msmarco_ray.index.manifest import Commit
+    buckets = Commit(out).fwd_bucket_dirs()
     assert len(buckets) > 2
     assert sorted(buckets) == list(range(len(buckets)))   # contiguous ranges
     r = IndexReader(out)
@@ -92,10 +92,10 @@ def test_term_vectors_without_forward_index_says_rebuild(built_index,
     idx_dir, _ = built_index
     old = str(tmp_path / "pre_fwd")
     shutil.copytree(idx_dir, old)
-    stats_path = os.path.join(old, "stats.json")
-    stats = json.load(open(stats_path))
-    del stats["fwd_bucket_docs"]
-    json.dump(stats, open(stats_path, "w"))
+    man_path = os.path.join(old, "manifest.json")
+    man = json.load(open(man_path))
+    del man["stats"]["fwd_bucket_docs"]
+    json.dump(man, open(man_path, "w"))
     with pytest.raises(RuntimeError, match="rebuild"):
         IndexReader(old).term_vectors([0])
 
@@ -188,14 +188,19 @@ def test_resume_invalidates_on_changed_input(ray_session, tmp_path):
         return build_index(ds, out, CFG, text_col="text", id_col="doc_id",
                            input_lineage=file_lineage([src]))
 
+    def segment_files():
+        seg = os.path.join(out, "segments")
+        return {os.path.join(r, f): os.stat(os.path.join(r, f)).st_mtime_ns
+                for r, _, fs in os.walk(seg) for f in fs}
+
     build()
-    seg = os.path.join(out, "segments")
-    mtime1 = os.path.getmtime(seg)
+    files1 = segment_files()
     build()                                     # unchanged input → resume
-    assert os.path.getmtime(seg) == mtime1
+    assert segment_files() == files1
     os.utime(src, ns=(1, 1))                    # simulate changed input
     build()
-    assert os.path.getmtime(seg) != mtime1      # re-tokenized AND re-merged
+    files3 = segment_files()                    # re-tokenized AND re-merged
+    assert files3 and not set(files3) & set(files1)
 
 
 def test_contribution_cache_keys_on_scorer_params(built_index, corpus_tokens):

@@ -238,6 +238,22 @@ def test_searcher_pool_empty_queries_typed_schema(pool_index):
         pool.shutdown()
 
 
+@pytest.mark.parametrize("sharded", [False, True])
+def test_retrieve_no_blocks_typed_empty_run(pool_index, sharded):
+    """A query Dataset with no blocks at all (so no schema either) gives
+    an empty run with the run schema, as an empty table does."""
+    import ray
+    import ray.data as rd
+
+    from lucene_msmarco_ray.search.searcher import RUN_SCHEMA
+    from lucene_msmarco_ray.search.service import retrieve, retrieve_sharded
+    fn = retrieve_sharded if sharded else retrieve
+    run = fn(rd.from_items([]), pool_index, k=5, concurrency=1)
+    blocks = ray.get(run.to_arrow_refs())
+    assert blocks and all(b.schema.equals(RUN_SCHEMA) for b in blocks)
+    assert sum(b.num_rows for b in blocks) == 0
+
+
 # batch_size=3: zero-hit queries sit mid-batch (1, 7) and at a batch's end
 # (5, 8); 3 repeats a term; 4 mixes non-ASCII text with a hitting term
 EDGE_TEXTS = ["return index search", "", "merge partition value",
